@@ -26,9 +26,9 @@
 //	GET  /api/v1/watch                live per-site drag deltas (SSE)
 //	GET  /metrics, /healthz, /readyz, /debug/pprof/...
 //
-// With -shards N the store is partitioned by run hash into N shard
-// directories (a v1 flat layout reshards in place on first open); query
-// answers are byte-identical either way. With -tenants FILE (a JSON
+// With -shards N (default 1) a new store is partitioned by run hash into
+// N shard directories; an existing store keeps the count it was created
+// with. Query answers are byte-identical for every count. With -tenants FILE (a JSON
 // array of {name, token, maxRuns, maxBytes, maxInFlight}) every /api/
 // route requires "Authorization: Bearer <token>" and each tenant gets an
 // isolated store under DIR/tenants/<name>, its own quotas, and its own
@@ -72,7 +72,7 @@ func run() int {
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request timeout for query endpoints")
 	maxUpload := flag.Int64("max-upload", 1<<30, "maximum upload size in bytes")
 	maxInflight := flag.Int("max-inflight", 64, "maximum concurrent ingest requests before shedding with 429")
-	shards := flag.Int("shards", 0, "partition each store into N shard directories (0: flat v1 layout)")
+	shards := flag.Int("shards", 1, "shard directories per new store (an existing store keeps its count)")
 	heartbeat := flag.Duration("heartbeat", 15*time.Second, "keep-alive comment interval on /watch SSE streams")
 	tenantsFile := flag.String("tenants", "", "JSON tenant config enabling bearer-token multi-tenant mode")
 	flag.Parse()
@@ -81,14 +81,13 @@ func run() int {
 		flag.PrintDefaults()
 		return cli.ExitUsage
 	}
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "dragserved: -shards %d: want at least 1\n", *shards)
+		return cli.ExitUsage
+	}
 
 	logger := log.New(os.Stderr, "dragserved: ", log.LstdFlags)
-	openRoot := func(dir string) (store.RunStore, error) {
-		if *shards > 0 {
-			return store.OpenSharded(dir, *shards)
-		}
-		return store.Open(dir)
-	}
+	openRoot := func(dir string) (store.RunStore, error) { return store.OpenSharded(dir, *shards) }
 	opts := server.Options{
 		Workers:           *workers,
 		MaxUploadBytes:    *maxUpload,

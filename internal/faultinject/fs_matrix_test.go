@@ -21,7 +21,7 @@ import (
 )
 
 // The power-cut property: run a store workload (open → ingest → salvage
-// ingest → compact) against a CrashFS that cuts power at step k, for
+// ingest → compact), on a store of one shard and of four, against a CrashFS that cuts power at step k, for
 // every k in the workload's step count and in both post-crash disk
 // models (drop-unsynced and keep-unsynced). After every crash,
 // store.Open on the same directory must succeed, every ingest that was
@@ -36,9 +36,11 @@ import (
 // (crash points, quarantine records) as JSON artifacts.
 
 // chaosWorkload is one named corpus for the crash matrix: a set of clean
-// logs (ingested in order) plus one damaged upload for the salvage path.
+// logs (ingested in order) plus one damaged upload for the salvage path,
+// played against a store of the given shard count.
 type chaosWorkload struct {
 	name    string
+	shards  int
 	clean   [][]byte
 	damaged []byte
 }
@@ -55,7 +57,7 @@ type ackedRun struct {
 // returned acks are the promises the crashed store must keep.
 func runChaosScenario(dir string, fsys store.FS, w chaosWorkload) []ackedRun {
 	var acked []ackedRun
-	st, err := store.OpenFS(dir, fsys)
+	st, err := store.OpenShardedFS(dir, w.shards, fsys)
 	if err != nil {
 		return nil
 	}
@@ -288,15 +290,23 @@ func TestPowerCutMatrix(t *testing.T) {
 	full := syntheticChaosProfile("chaos-alpha", 5000, 1)
 	logA := encodeChaosLog(t, full)
 	logB := encodeChaosLog(t, syntheticChaosProfile("chaos-alpha", 1200, 2))
-	w := chaosWorkload{
-		name:    "synthetic",
-		clean:   [][]byte{logA, logB},
-		damaged: damagePrefix(t, logA),
+	// Four shards put the rename from the root tmp/ into a shard's runs/
+	// under the same crash proof as the single-shard store.
+	for _, n := range []int{1, 4} {
+		w := chaosWorkload{
+			name:    "synthetic",
+			shards:  n,
+			clean:   [][]byte{logA, logB},
+			damaged: damagePrefix(t, logA),
+		}
+		if n > 1 {
+			w.name = fmt.Sprintf("synthetic-%d-shards", n)
+		}
+		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
+			runCrashMatrix(t, w)
+		})
 	}
-	t.Run("synthetic", func(t *testing.T) {
-		t.Parallel()
-		runCrashMatrix(t, w)
-	})
 
 	if os.Getenv("DRAGPROF_CHAOS_FULL") == "" {
 		return
@@ -311,6 +321,7 @@ func TestPowerCutMatrix(t *testing.T) {
 			t.Parallel()
 			runCrashMatrix(t, chaosWorkload{
 				name:    wl.Name,
+				shards:  1,
 				clean:   [][]byte{wl.Bin},
 				damaged: damagePrefix(t, wl.Bin),
 			})
@@ -319,7 +330,7 @@ func TestPowerCutMatrix(t *testing.T) {
 }
 
 // TestDiskFaultMatrix injects ENOSPC/EIO at every step of a clean ingest
-// (no crash): the store must fail with a typed error wrapping both the
+// (no crash), into a store of one shard and of four: the store must fail with a typed error wrapping both the
 // errno and faultinject.ErrInjected, leave no spool behind and no
 // partial run visible, and reopen cleanly.
 func TestDiskFaultMatrix(t *testing.T) {
@@ -328,8 +339,8 @@ func TestDiskFaultMatrix(t *testing.T) {
 	}
 	log := encodeChaosLog(t, syntheticChaosProfile("chaos-enospc", 5000, 3))
 
-	scenario := func(dir string, fsys store.FS) (ackErr error, acked bool) {
-		st, err := store.OpenFS(dir, fsys)
+	scenario := func(dir string, shards int, fsys store.FS) (ackErr error, acked bool) {
+		st, err := store.OpenShardedFS(dir, shards, fsys)
 		if err != nil {
 			return err, false
 		}
@@ -346,49 +357,55 @@ func TestDiskFaultMatrix(t *testing.T) {
 		return nil, true
 	}
 
-	dry := faultinject.NewCrashFS(faultinject.CrashFSOptions{})
-	if err, ok := scenario(t.TempDir(), dry); err != nil || !ok {
-		t.Fatalf("dry run failed: %v", err)
-	}
-	steps := dry.Steps()
+	for _, shards := range []int{1, 4} {
+		dry := faultinject.NewCrashFS(faultinject.CrashFSOptions{})
+		if err, ok := scenario(t.TempDir(), shards, dry); err != nil || !ok {
+			t.Fatalf("dry run failed: %v", err)
+		}
+		steps := dry.Steps()
 
-	errnos := []error{syscall.ENOSPC, syscall.EIO}
-	for k := 1; k <= steps; k++ {
-		for _, errno := range errnos {
-			errno := errno
-			t.Run(fmt.Sprintf("step-%d-%v", k, errno), func(t *testing.T) {
-				dir := t.TempDir()
-				fs := faultinject.NewCrashFS(faultinject.CrashFSOptions{Faults: map[int]error{k: errno}})
-				err, acked := scenario(dir, fs)
-				if err != nil {
-					if !errors.Is(err, errno) {
-						t.Fatalf("fault surfaced untyped: %v", err)
-					}
-					if !errors.Is(err, faultinject.ErrInjected) {
-						t.Fatalf("fault lost the injection sentinel: %v", err)
-					}
+		errnos := []error{syscall.ENOSPC, syscall.EIO}
+		for k := 1; k <= steps; k++ {
+			for _, errno := range errnos {
+				shards, k, errno := shards, k, errno
+				name := fmt.Sprintf("step-%d-%v", k, errno)
+				if shards > 1 {
+					name = fmt.Sprintf("shards-%d-%s", shards, name)
 				}
-				// Satellite regression: a failed commit must reap its
-				// spool immediately, not wait for the next Open.
-				if err != nil {
-					ents, derr := os.ReadDir(filepath.Join(dir, "tmp"))
-					if derr == nil && len(ents) != 0 {
-						t.Fatalf("failed ingest leaked %d spool file(s)", len(ents))
+				t.Run(name, func(t *testing.T) {
+					dir := t.TempDir()
+					fs := faultinject.NewCrashFS(faultinject.CrashFSOptions{Faults: map[int]error{k: errno}})
+					err, acked := scenario(dir, shards, fs)
+					if err != nil {
+						if !errors.Is(err, errno) {
+							t.Fatalf("fault surfaced untyped: %v", err)
+						}
+						if !errors.Is(err, faultinject.ErrInjected) {
+							t.Fatalf("fault lost the injection sentinel: %v", err)
+						}
 					}
-					// And no orphan artifacts in runs/ either.
-					rents, derr := os.ReadDir(filepath.Join(dir, "runs"))
-					if derr == nil && len(rents) != 0 {
-						t.Fatalf("failed ingest left %d artifact(s) in runs/", len(rents))
+					// Satellite regression: a failed commit must reap its
+					// spool immediately, not wait for the next Open.
+					if err != nil {
+						ents, derr := os.ReadDir(filepath.Join(dir, "tmp"))
+						if derr == nil && len(ents) != 0 {
+							t.Fatalf("failed ingest leaked %d spool file(s)", len(ents))
+						}
+						// And no orphan artifacts in any shard's runs/ either.
+						rents, derr := filepath.Glob(filepath.Join(dir, "shards", "*", "runs", "*"))
+						if derr == nil && len(rents) != 0 {
+							t.Fatalf("failed ingest left %d artifact(s) in runs/", len(rents))
+						}
 					}
-				}
-				st, oerr := store.Open(dir)
-				if oerr != nil {
-					t.Fatalf("Open after fault: %v", oerr)
-				}
-				if acked && st.NumRuns() != 1 {
-					t.Fatalf("acknowledged run lost after fault: %d runs", st.NumRuns())
-				}
-			})
+					st, oerr := store.Open(dir)
+					if oerr != nil {
+						t.Fatalf("Open after fault: %v", oerr)
+					}
+					if acked && st.NumRuns() != 1 {
+						t.Fatalf("acknowledged run lost after fault: %d runs", st.NumRuns())
+					}
+				})
+			}
 		}
 	}
 }

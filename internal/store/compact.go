@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -106,11 +105,16 @@ func (s *Store) Dirty() bool {
 }
 
 // Compact rebuilds the per-site summaries of every workload whose run set
-// changed since the last compaction. Each stale workload's runs are merged
-// through the analyzer's aggregator-merge path in sorted-run-id order, so
-// the result is independent of ingest order and of which server performed
-// the merge. workers bounds the per-run analysis parallelism.
+// changed since the last compaction. Each stale workload is folded once,
+// over all shards, through mergeWorkload in sorted run-id order, so the
+// result is independent of ingest order, of the shard count and of which
+// server performed the merge. Compaction is single-flight: a call that
+// starts while another runs waits for it, then merges only what is still
+// dirty. workers is accepted for the RunStore contract; the fold is
+// serial.
 func (s *Store) Compact(workers int) error {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.mu.Lock()
 	stale := make([]string, 0, len(s.dirty))
 	for name := range s.dirty {
@@ -119,9 +123,9 @@ func (s *Store) Compact(workers int) error {
 	s.mu.Unlock()
 	sort.Strings(stale)
 
+	compactDir := filepath.Join(s.root, "compact")
 	for _, name := range stale {
-		ids := s.runIDs(name)
-		ws, err := s.compactWorkload(name, ids, workers)
+		ws, err := s.mergeWorkload(name, s.runIDs(name))
 		if err != nil {
 			return err
 		}
@@ -132,18 +136,19 @@ func (s *Store) Compact(workers int) error {
 		// Compaction swap: write-new → fsync → atomic rename → fsync dir.
 		// A crash leaves either the old or the new generation — the rename
 		// is the only visible transition.
-		compactDir := filepath.Join(s.root, "compact")
 		if err := writeFileDurable(s.fs, compactDir, filepath.Join(compactDir, compactKey(name)+".json"), append(data, '\n')); err != nil {
 			return err
 		}
 		if err := s.fs.SyncDir(compactDir); err != nil {
 			return err
 		}
+		// An ingest publishes its run on its shard before it marks the
+		// workload dirty under s.mu, so a run set read under s.mu holds
+		// every run whose dirty mark this clear could erase; a run the
+		// merge missed keeps the flag set.
 		s.mu.Lock()
 		s.compacted[name] = ws
-		// Re-ingests during compaction re-dirty the workload; only clear
-		// the flag if the merged run set still matches the live one.
-		if sameRunSet(ws.Runs, s.runIDsLocked(name)) {
+		if sameRunSet(ws.Runs, s.runIDs(name)) {
 			delete(s.dirty, name)
 		}
 		s.mu.Unlock()
@@ -151,30 +156,17 @@ func (s *Store) Compact(workers int) error {
 	return nil
 }
 
-// compactWorkload merges one workload's runs into a single report, reading
-// each log from this store's runs/ directory.
-func (s *Store) compactWorkload(name string, ids []string, workers int) (*workloadSummary, error) {
-	return mergeWorkloadRuns(name, ids, func(id string) (io.ReadCloser, error) {
-		return os.Open(s.logPath(id))
-	})
-}
-
-// mergeWorkloadRuns merges one workload's runs into a single summary.
-// Every run is re-aggregated from its stored log and folded into the
-// running accumulator via the same merge the parallel analyzer uses for
-// its block shards; sorted-id order makes the fold deterministic. openLog
-// resolves a run id to its log wherever it lives — the single store's
-// runs/ directory, or whichever shard of a sharded store holds the run —
-// which is exactly why a sharded store's merge-on-read answers are
-// byte-identical to the unsharded ones: both fold the same logs in the
-// same global id order through this one function.
-func mergeWorkloadRuns(name string, ids []string, openLog func(id string) (io.ReadCloser, error)) (*workloadSummary, error) {
+// mergeWorkload merges one workload's runs into a single summary. Every
+// run is re-aggregated from its stored log and folded into the running
+// accumulator via the same merge the parallel analyzer uses for its block
+// shards; sorted-id order makes the fold deterministic.
+func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, error) {
 	var (
 		acc  *drag.Accumulator
 		base *profile.Profile
 	)
 	for _, id := range ids {
-		f, err := openLog(id)
+		f, err := os.Open(s.home(id).path(id, ".log"))
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -218,16 +210,18 @@ func mergeWorkloadRuns(name string, ids []string, openLog func(id string) (io.Re
 	return ws, nil
 }
 
-// checkMergeable guards the cross-run merge: group keys are indices into
-// the per-log site and chain tables, so folding two runs into one
-// accumulator is only meaningful when their tables agree — which they do
-// for repeated runs of the same deterministic workload. Mismatched tables
-// (same workload name, different build) are rejected rather than silently
+// checkMergeable guards the cross-run merge. Coarse groups key on the
+// site index, so folding two runs into one accumulator is only meaningful
+// when their site tables agree — which they do for repeated runs of the
+// same build. Fine and last-use groups key on chain content (method,
+// line), not chain ids, so chain tables may differ: a sampled run interns
+// only the chains of the objects it sampled. Mismatched site tables (same
+// workload name, different build) are rejected rather than silently
 // mis-merged.
 func checkMergeable(a, b *profile.Profile) error {
-	if len(a.Sites) != len(b.Sites) || len(a.ChainNodes) != len(b.ChainNodes) {
-		return fmt.Errorf("incompatible site tables (%d/%d sites, %d/%d chain nodes): runs come from different builds",
-			len(a.Sites), len(b.Sites), len(a.ChainNodes), len(b.ChainNodes))
+	if len(a.Sites) != len(b.Sites) {
+		return fmt.Errorf("incompatible site tables (%d/%d sites): runs come from different builds",
+			len(a.Sites), len(b.Sites))
 	}
 	// Sampled and exact runs (or two different rates) scale their estimates
 	// differently; folding them into one accumulator would mix estimators.

@@ -24,7 +24,8 @@ import (
 )
 
 // QuarantineReason is the JSON record written next to every quarantined
-// file: what was moved, why, and which run it belonged to.
+// file: what was moved, why, and which run it belonged to. Every shard's
+// recovery scan quarantines into the store's one quarantine/ directory.
 type QuarantineReason struct {
 	// File is the quarantined file's original path, relative to the
 	// store root.
@@ -38,12 +39,22 @@ type QuarantineReason struct {
 }
 
 // Quarantined lists every quarantine record found or created by this
-// store's recovery scan, sorted by file name.
+// store's recovery scans, sorted by file name then run id — a stable order
+// independent of the shard count and of scan order.
 func (s *Store) Quarantined() []QuarantineReason {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]QuarantineReason, len(s.quarantined))
 	copy(out, s.quarantined)
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].File != out[j].File {
+			return out[i].File < out[j].File
+		}
+		if out[i].RunID != out[j].RunID {
+			return out[i].RunID < out[j].RunID
+		}
+		return out[i].Reason < out[j].Reason
+	})
 	return out
 }
 
@@ -65,8 +76,13 @@ func (s *Store) recoverLocked() error {
 			s.fs.Remove(filepath.Join(s.root, "tmp", e.Name()))
 		}
 	}
-	if err := s.scanRunsLocked(); err != nil {
+	if err := s.rehomeLocked(); err != nil {
 		return err
+	}
+	for _, sh := range s.shards {
+		if err := s.scanShardLocked(sh); err != nil {
+			return err
+		}
 	}
 	if err := s.loadCompactedLocked(); err != nil {
 		return err
@@ -74,10 +90,72 @@ func (s *Store) recoverLocked() error {
 	return nil
 }
 
-// scanRunsLocked rebuilds the in-memory run set from runs/, verifying
-// every entry and quarantining damage.
-func (s *Store) scanRunsLocked() error {
-	runsDir := filepath.Join(s.root, "runs")
+// rehomeLocked moves every run found off its home shard onto it, because
+// queries look for a run only on the shard its id routes to. Earlier
+// versions placed a salvaged run by the hash of its raw upload rather
+// than of its stored log, so their stores can hold such runs. The move
+// mirrors the commit order: the data files go first and are made durable
+// at home before the metadata record follows them, so an interrupted move
+// leaves the record behind and the next scan finishes the move. A run
+// whose home shard already holds a record of the same id is a duplicate
+// and is quarantined.
+func (s *Store) rehomeLocked() error {
+	for i, sh := range s.shards {
+		from := sh.runsDir()
+		ents, err := os.ReadDir(from)
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		for _, e := range ents {
+			name := e.Name()
+			if e.IsDir() || strings.HasPrefix(name, ".tmp-") || !strings.HasSuffix(name, ".json") {
+				continue
+			}
+			id := strings.TrimSuffix(name, ".json")
+			home := shardOf(id, len(s.shards))
+			if home == i {
+				continue
+			}
+			to := s.shards[home].runsDir()
+			if _, err := os.Stat(filepath.Join(to, name)); err == nil {
+				if err := s.quarantineRunLocked(from, id,
+					fmt.Sprintf("duplicate of a run committed on its home shard %03d", home)); err != nil {
+					return err
+				}
+				if err := s.fs.SyncDir(from); err != nil {
+					return err
+				}
+				if err := s.fs.SyncDir(s.QuarantineDir()); err != nil {
+					return err
+				}
+				continue
+			}
+			for _, names := range [][]string{{id + ".log", id + ".canonical"}, {name}} {
+				for _, n := range names {
+					if _, err := os.Stat(filepath.Join(from, n)); err != nil {
+						continue
+					}
+					if err := s.fs.Rename(filepath.Join(from, n), filepath.Join(to, n)); err != nil {
+						return fmt.Errorf("store: moving %s to its home shard: %w", n, err)
+					}
+				}
+				if err := s.fs.SyncDir(to); err != nil {
+					return err
+				}
+			}
+			if err := s.fs.SyncDir(from); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// scanShardLocked rebuilds a shard's run set from its runs/ directory,
+// verifying every entry, counting it into the store's totals and
+// quarantining damage.
+func (s *Store) scanShardLocked(sh *shard) error {
+	runsDir := sh.runsDir()
 	ents, err := os.ReadDir(runsDir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -111,8 +189,8 @@ func (s *Store) scanRunsLocked() error {
 			moved = true
 			continue
 		}
-		s.runs[m.ID] = m
-		s.bytes += m.Bytes
+		sh.runs[m.ID] = m
+		s.addLocked(m)
 	}
 	// Orphaned artifacts: a .log or .canonical without committed
 	// metadata is an interrupted, never-acknowledged commit.
@@ -122,7 +200,7 @@ func (s *Store) scanRunsLocked() error {
 			continue
 		}
 		id := strings.TrimSuffix(name, ext)
-		if _, ok := s.runs[id]; ok {
+		if _, ok := sh.runs[id]; ok {
 			continue
 		}
 		if _, err := os.Stat(filepath.Join(runsDir, name)); err != nil {
@@ -231,8 +309,12 @@ func (s *Store) quarantineFileLocked(dir, name, runID, reason string) error {
 	if err := s.fs.Rename(filepath.Join(dir, name), dest); err != nil {
 		return fmt.Errorf("store: quarantining %s: %w", name, err)
 	}
+	rel, err := filepath.Rel(s.root, filepath.Join(dir, name))
+	if err != nil {
+		rel = name
+	}
 	q := QuarantineReason{
-		File:            filepath.Join(filepath.Base(dir), name),
+		File:            rel,
 		Reason:          reason,
 		RunID:           runID,
 		QuarantinedUnix: time.Now().Unix(),

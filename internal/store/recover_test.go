@@ -44,7 +44,7 @@ func TestRecoveryQuarantinesTornLog(t *testing.T) {
 	// Flip one byte of the second run's stored log: its content no
 	// longer hashes to its id, which is exactly what a torn write that
 	// slipped past the journal would look like.
-	logPath := filepath.Join(dir, "runs", bad+".log")
+	logPath := filepath.Join(dir, "shards", "000", "runs", bad+".log")
 	data, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestRecoveryQuarantinesTornLog(t *testing.T) {
 	}
 	// All three artifacts moved out of runs/.
 	for _, ext := range []string{".json", ".log", ".canonical"} {
-		if _, err := os.Stat(filepath.Join(dir, "runs", bad+ext)); !os.IsNotExist(err) {
+		if _, err := os.Stat(filepath.Join(dir, "shards", "000", "runs", bad+ext)); !os.IsNotExist(err) {
 			t.Fatalf("%s%s still in runs/", bad[:12], ext)
 		}
 		if _, err := os.Stat(filepath.Join(st2.QuarantineDir(), bad+ext)); err != nil {
@@ -97,7 +97,7 @@ func TestRecoveryQuarantinesTornMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := ingestOne(t, st, "alpha", 600, 1)
-	metaPath := filepath.Join(dir, "runs", id+".json")
+	metaPath := filepath.Join(dir, "shards", "000", "runs", id+".json")
 	if err := os.WriteFile(metaPath, []byte(`{"id": "`+id+`", "name`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRecoveryQuarantinesOrphanArtifacts(t *testing.T) {
 	id := ingestOne(t, st, "alpha", 600, 1)
 	// Delete the metadata: the log and canonical become an interrupted,
 	// never-committed run.
-	if err := os.Remove(filepath.Join(dir, "runs", id+".json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "shards", "000", "runs", id+".json")); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := Open(dir)
@@ -150,7 +150,7 @@ func TestRecoveryRegeneratesMissingCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "runs", id+".canonical")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "shards", "000", "runs", id+".canonical")); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := Open(dir)
@@ -216,7 +216,7 @@ func TestQuarantineReasonFilesParse(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := ingestOne(t, st, "alpha", 600, 1)
-	if err := os.Remove(filepath.Join(dir, "runs", id+".json")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "shards", "000", "runs", id+".json")); err != nil {
 		t.Fatal(err)
 	}
 	st2, err := Open(dir)
@@ -281,12 +281,14 @@ func TestCommitFailureLeavesNoDebris(t *testing.T) {
 	// Fail each of the first three renames a single ingest performs
 	// (spool→log, canonical swap, meta swap) in turn.
 	for failN := 1; failN <= 3; failN++ {
-		fsys := &failRenameFS{failN: failN}
+		fsys := &failRenameFS{}
 		dir := t.TempDir()
 		st, err := OpenFS(dir, fsys)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Count from the ingest: Open's own rename writes sharding.json.
+		fsys.calls, fsys.failN = 0, failN
 		_, err = st.Ingest(bytes.NewReader(encodeLog(t, syntheticProfile("alpha", 600, 1))), 2)
 		if err == nil {
 			t.Fatalf("failN=%d: ingest succeeded despite rename failure", failN)
@@ -294,7 +296,7 @@ func TestCommitFailureLeavesNoDebris(t *testing.T) {
 		if st.NumRuns() != 0 {
 			t.Fatalf("failN=%d: partial run visible", failN)
 		}
-		for _, sub := range []string{"tmp", "runs"} {
+		for _, sub := range []string{"tmp", filepath.Join("shards", "000", "runs")} {
 			ents, derr := os.ReadDir(filepath.Join(dir, sub))
 			if derr != nil {
 				t.Fatal(derr)

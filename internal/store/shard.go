@@ -1,707 +1,129 @@
-// Sharded store: the scale-out layout of the run store. Runs are
-// partitioned by site-hash — the content hash that names a run — into N
-// shard directories, each of which is a complete, self-contained v1 store
-// with its own lock, its own durable-commit protocol, its own recovery
-// scan and its own background compaction. A merge-on-read query layer
-// fronts the shards so every answer (/report, /sites, /diff, run
-// listings) is byte-identical to what a single flat store holding the
-// same runs would serve: per-run queries read straight from the owning
-// shard, and cross-run summaries fold the same logs in the same globally
-// sorted id order through the same accumulator merge the flat store uses
-// (mergeWorkloadRuns).
-//
-// Layout under the root directory:
-//
-//	sharding.json          {"version":1,"shards":N} — the shard map
-//	shards/000/ .. NNN/    one full v1 store per shard
-//	compact/<key>.json     merged cross-shard summaries (v1-compatible)
-//	tmp/                   ingest routing spools (removed on open)
-//	quarantine/            legacy v1-era quarantine records, kept in place
-//
-// Opening a directory that still holds a v1 layout (a runs/ directory
-// with entries) reshards it in place: every run artifact is renamed into
-// its shard, data files first and the metadata commit record last, with
-// directory fsyncs after the sweep. The migration is resumable — a power
-// cut mid-reshard leaves each file in exactly one of the two trees, and
-// the next Open finishes the sweep before any shard's recovery scan runs,
-// so no acknowledged run is ever lost or spuriously quarantined.
+// A shard is one durable run log: shards/NNN/runs/ holds the committed
+// runs whose id routes to it (shardOf), written by the commit protocol
+// below and verified by the recovery scan (recover.go). A shard keeps no
+// summaries and runs no compaction; the Store that owns it folds runs
+// across every shard.
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"dragprof/internal/drag"
 )
 
-// DefaultShards is the shard count used when OpenSharded is not given one
-// and no sharding.json exists yet.
-const DefaultShards = 8
+// shard is one run log directory and the runs committed to it.
+type shard struct {
+	dir string
+	fs  FS
 
-// shardConfig is the persisted shard map. The shard count is fixed at
-// store creation; reopening with a different requested count honors the
-// on-disk value (re-sharding an existing sharded store is a separate
-// offline operation, not an Open side effect).
-type shardConfig struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
+	mu   sync.Mutex
+	runs map[string]*RunMeta
 }
 
-// Sharded is the partitioned run store. All methods are safe for
-// concurrent use; cross-shard state (the merged summaries and their
-// staleness set) is guarded by mu, everything per-shard by that shard's
-// own lock.
-type Sharded struct {
-	root   string
-	fs     FS
-	shards []*Store
-
-	mu sync.Mutex
-	// dirtyMerged marks workload names whose merged cross-shard summary is
-	// stale (distinct from each shard's own dirty set).
-	dirtyMerged map[string]bool
-	// merged holds the cross-shard per-workload summaries, keyed by name.
-	merged map[string]*workloadSummary
-	// legacy holds quarantine records from the store's v1 era, which stay
-	// at the root (shard scans own everything quarantined after the
-	// migration).
-	legacy []QuarantineReason
-}
-
-var _ RunStore = (*Sharded)(nil)
-var _ RunStore = (*Store)(nil)
-
-// OpenSharded creates (if needed) and loads a sharded store rooted at
-// dir with n shards (n <= 0: DefaultShards, both ignored when a
-// sharding.json already fixes the count). A v1-layout directory is
-// resharded in place first.
-func OpenSharded(dir string, n int) (*Sharded, error) { return OpenShardedFS(dir, n, OSFS{}) }
-
-// OpenShardedFS is OpenSharded behind the filesystem seam — the chaos
-// harness's entry point for crashing the reshard migration and the
-// per-shard commit protocols at every step.
-func OpenShardedFS(dir string, n int, fsys FS) (*Sharded, error) {
-	s := &Sharded{
-		root:        dir,
-		fs:          fsys,
-		dirtyMerged: make(map[string]bool),
-		merged:      make(map[string]*workloadSummary),
+// shardOf maps a run id (lowercase hex SHA-256) onto its home shard. Ids
+// that are not hex are never produced by the store; they route to shard 0.
+func shardOf(id string, n int) int {
+	if len(id) < 8 {
+		return 0
 	}
-	for _, sub := range []string{"tmp", "compact", "shards"} {
-		if err := fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-	}
-	n, err := s.loadOrInitConfig(n)
-	if err != nil {
-		return nil, err
-	}
-	// Routing spools from a crashed ingest are garbage: nothing spooled
-	// there was ever acknowledged.
-	if ents, err := os.ReadDir(filepath.Join(dir, "tmp")); err == nil {
-		for _, e := range ents {
-			s.fs.Remove(filepath.Join(dir, "tmp", e.Name()))
-		}
-	}
-	// Reshard a v1 layout (or finish an interrupted reshard) before any
-	// shard opens: the shard recovery scans must see complete runs.
-	if err := s.migrateV1(n); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		sh, err := OpenFS(s.shardDir(i), fsys)
-		if err != nil {
-			return nil, fmt.Errorf("store: shard %03d: %w", i, err)
-		}
-		s.shards = append(s.shards, sh)
-	}
-	if err := s.loadLegacyQuarantine(); err != nil {
-		return nil, err
-	}
-	if err := s.loadMergedLocked(); err != nil {
-		return nil, err
-	}
-	// Any workload whose merged summary is missing or no longer covers the
-	// global run set needs re-merging.
-	for name := range s.globalRunNames() {
-		ws := s.merged[name]
-		if ws == nil || !sameRunSet(ws.Runs, s.globalRunIDs(name)) {
-			s.dirtyMerged[name] = true
-		}
-	}
-	return s, nil
-}
-
-// loadOrInitConfig reads sharding.json, creating it durably on first open.
-// A torn config with shards already on disk is recovered by counting the
-// shard directories (the layout itself is the source of truth).
-func (s *Sharded) loadOrInitConfig(n int) (int, error) {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	path := filepath.Join(s.root, "sharding.json")
-	data, err := os.ReadFile(path)
-	if err == nil {
-		var cfg shardConfig
-		if jerr := json.Unmarshal(data, &cfg); jerr == nil && cfg.Shards > 0 {
-			return cfg.Shards, nil
-		}
-		// Torn config: recover the count from the shard directories.
-		if existing := s.countShardDirs(); existing > 0 {
-			n = existing
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	blob, err := json.MarshalIndent(shardConfig{Version: 1, Shards: n}, "", "  ")
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileDurable(s.fs, s.root, path, append(blob, '\n')); err != nil {
-		return 0, err
-	}
-	if err := s.fs.SyncDir(s.root); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-func (s *Sharded) countShardDirs() int {
-	ents, err := os.ReadDir(filepath.Join(s.root, "shards"))
+	v, err := strconv.ParseUint(id[:8], 16, 64)
 	if err != nil {
 		return 0
 	}
-	n := 0
-	for _, e := range ents {
-		if e.IsDir() {
-			if _, err := strconv.Atoi(e.Name()); err == nil {
-				n++
-			}
-		}
-	}
-	return n
+	return int(v % uint64(n))
 }
 
-func (s *Sharded) shardDir(i int) string {
-	return filepath.Join(s.root, "shards", fmt.Sprintf("%03d", i))
+func (sh *shard) runsDir() string { return filepath.Join(sh.dir, "runs") }
+
+// path names one artifact (".log", ".canonical" or ".json") of a run.
+func (sh *shard) path(id, ext string) string { return filepath.Join(sh.dir, "runs", id+ext) }
+
+// Get returns the metadata of a run stored on this shard, by full id.
+func (sh *shard) Get(id string) (*RunMeta, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	m, ok := sh.runs[id]
+	return m, ok
 }
 
-// shardOf maps a run id (lowercase hex SHA-256) onto its shard. Ids that
-// are not hex (never produced by the store itself) fall back to FNV so
-// migration can still place any stray file deterministically.
-func (s *Sharded) shardOf(id string, n int) int {
-	if len(id) >= 8 {
-		if v, err := strconv.ParseUint(id[:8], 16, 64); err == nil {
-			return int(v % uint64(n))
-		}
-	}
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return int(h.Sum32() % uint32(n))
-}
-
-// migrateV1 reshards a v1-layout store in place: every file under runs/
-// is renamed into its shard's runs/ directory — data artifacts (.log,
-// .canonical) first, metadata commit records (.json) last — then every
-// touched directory is fsynced. The sweep is idempotent: a crash leaves
-// each file in exactly one tree, and the next Open repeats the sweep over
-// whatever is still at the root.
-func (s *Sharded) migrateV1(n int) error {
-	runsDir := filepath.Join(s.root, "runs")
-	ents, err := os.ReadDir(runsDir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	var data, meta []string
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			// Atomic-write temps never carried an acknowledgement.
-			s.fs.Remove(filepath.Join(runsDir, name))
-			continue
-		}
-		if strings.HasSuffix(name, ".json") {
-			meta = append(meta, name)
-		} else {
-			data = append(data, name)
-		}
-	}
-	if len(data) == 0 && len(meta) == 0 {
-		return nil
-	}
-	sort.Strings(data)
-	sort.Strings(meta)
-	touched := map[string]bool{}
-	for i := 0; i < n; i++ {
-		if err := s.fs.MkdirAll(filepath.Join(s.shardDir(i), "runs")); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	// Metadata last: the commit record only ever trails its data across
-	// the move, mirroring the ingest commit order, so an interrupted sweep
-	// can at worst strand data ahead of its metadata — the state every
-	// recovery scan already handles.
-	for _, name := range append(data, meta...) {
-		id := strings.TrimSuffix(name, filepath.Ext(name))
-		dest := filepath.Join(s.shardDir(s.shardOf(id, n)), "runs", name)
-		if err := s.fs.Rename(filepath.Join(runsDir, name), dest); err != nil {
-			return fmt.Errorf("store: resharding %s: %w", name, err)
-		}
-		touched[filepath.Dir(dest)] = true
-	}
-	dirs := make([]string, 0, len(touched))
-	for d := range touched {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		if err := s.fs.SyncDir(d); err != nil {
-			return err
-		}
-	}
-	if err := s.fs.SyncDir(runsDir); err != nil {
-		return err
-	}
-	return nil
-}
-
-// loadLegacyQuarantine reads v1-era quarantine records left at the root.
-func (s *Sharded) loadLegacyQuarantine() error {
-	qdir := filepath.Join(s.root, "quarantine")
-	ents, err := os.ReadDir(qdir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".reason.json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(qdir, name))
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		var q QuarantineReason
-		if err := json.Unmarshal(data, &q); err != nil {
-			continue // a torn reason file never blocks recovery
-		}
-		s.legacy = append(s.legacy, q)
-	}
-	return nil
-}
-
-// loadMergedLocked seeds the merged-summary cache from compact/ — which
-// holds either this store's own previous merges or, right after a
-// migration, the v1 store's summaries (same format, same semantics: both
-// describe the global run set). Torn files are removed, not fatal; the
-// next Compact regenerates them.
-func (s *Sharded) loadMergedLocked() error {
-	dir := filepath.Join(s.root, "compact")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if strings.HasPrefix(name, ".tmp-") {
-			s.fs.Remove(filepath.Join(dir, name))
-			continue
-		}
-		if !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".reason.json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		var ws workloadSummary
-		if err := json.Unmarshal(data, &ws); err != nil {
-			s.fs.Remove(filepath.Join(dir, name))
-			continue
-		}
-		s.merged[ws.Name] = &ws
-	}
-	return nil
-}
-
-// Root returns the sharded store's root directory.
-func (s *Sharded) Root() string { return s.root }
-
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Shard exposes one shard's underlying store (tests, stats).
-func (s *Sharded) Shard(i int) *Store { return s.shards[i] }
-
-// allRuns gathers the global run set, deduplicated by id (a run salvaged
-// from a damaged upload can land off its home shard — the shard index is
-// a routing hint, and global views never double-count an id).
-func (s *Sharded) allRuns() map[string]*RunMeta {
-	out := make(map[string]*RunMeta)
-	for _, sh := range s.shards {
-		for _, m := range sh.Runs() {
-			if _, ok := out[m.ID]; !ok {
-				out[m.ID] = m
-			}
-		}
-	}
-	return out
-}
-
-// Runs lists the stored runs across every shard, sorted by id — the same
-// listing a flat store holding the same runs would produce.
-func (s *Sharded) Runs() []*RunMeta {
-	all := s.allRuns()
-	out := make([]*RunMeta, 0, len(all))
-	for _, m := range all {
+// Runs lists the shard's runs sorted by id.
+func (sh *shard) Runs() []*RunMeta {
+	sh.mu.Lock()
+	out := make([]*RunMeta, 0, len(sh.runs))
+	for _, m := range sh.runs {
 		out = append(out, m)
 	}
+	sh.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// Get resolves a run id or unique >=8-hex-digit prefix across all shards.
-// A prefix matching runs in two different shards is ambiguous, exactly as
-// it would be within one store.
-func (s *Sharded) Get(id string) (*RunMeta, bool) {
-	all := s.allRuns()
-	if m, ok := all[id]; ok {
-		return m, true
+// commit runs the durable commit protocol: rename the fsynced spool into
+// runs/, durably write the canonical dump, fsync the directory, then
+// durably write the metadata record — the commit point — and fsync the
+// directory again. Recovery treats a run as committed if and only if its
+// metadata parses and the log hashes to the run id, so a crash anywhere
+// before the final SyncDir leaves at worst unacknowledged debris that the
+// recovery scan quarantines or reaps. Duplicate ids are detected under
+// the lock; the first writer wins and later identical uploads are
+// reported as duplicates.
+func (sh *shard) commit(meta *RunMeta, spoolPath string, rep *drag.Report) (duplicate bool, err error) {
+	if existing, ok := sh.Get(meta.ID); ok {
+		*meta = *existing
+		return true, nil
 	}
-	if len(id) >= 8 {
-		var found *RunMeta
-		for rid, m := range all {
-			if strings.HasPrefix(rid, id) {
-				if found != nil {
-					return nil, false // ambiguous
-				}
-				found = m
-			}
-		}
-		if found != nil {
-			return found, true
-		}
-	}
-	return nil, false
-}
 
-// NumRuns is the global stored-run count.
-func (s *Sharded) NumRuns() int { return len(s.allRuns()) }
-
-// TotalBytes is the summed size of all stored logs across shards.
-func (s *Sharded) TotalBytes() int64 {
-	var total int64
-	for _, m := range s.allRuns() {
-		total += m.Bytes
-	}
-	return total
-}
-
-// SalvagedRuns counts stored runs that came from damaged uploads.
-func (s *Sharded) SalvagedRuns() int {
-	n := 0
-	for _, m := range s.allRuns() {
-		if m.Salvaged {
-			n++
-		}
-	}
-	return n
-}
-
-// shardHolding returns the shard that stores a full run id, nil if none.
-func (s *Sharded) shardHolding(id string) *Store {
-	for _, sh := range s.shards {
-		if _, ok := sh.Get(id); ok {
-			return sh
-		}
-	}
-	return nil
-}
-
-// OpenLog opens a stored run's log from whichever shard holds it.
-func (s *Sharded) OpenLog(id string) (io.ReadCloser, error) {
-	m, ok := s.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown run %q", id)
-	}
-	sh := s.shardHolding(m.ID)
-	if sh == nil {
-		return nil, fmt.Errorf("store: run %s vanished from every shard", m.ID)
-	}
-	return sh.OpenLog(m.ID)
-}
-
-// Canonical returns the stored canonical report dump for a run.
-func (s *Sharded) Canonical(id string) ([]byte, error) {
-	m, ok := s.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown run %q", id)
-	}
-	sh := s.shardHolding(m.ID)
-	if sh == nil {
-		return nil, fmt.Errorf("store: run %s vanished from every shard", m.ID)
-	}
-	return sh.Canonical(m.ID)
-}
-
-// Report recomputes a run's analysis from its stored log; byte-identical
-// to the serial analyzer, and to the flat store's answer.
-func (s *Sharded) Report(id string, opts drag.Options, workers int) (*drag.Report, error) {
-	m, ok := s.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown run %q", id)
-	}
-	sh := s.shardHolding(m.ID)
-	if sh == nil {
-		return nil, fmt.Errorf("store: run %s vanished from every shard", m.ID)
-	}
-	return sh.Report(m.ID, opts, workers)
-}
-
-// Ingest routes one upload to its shard: the body is spooled once at the
-// root while its content hash streams, then replayed into the owning
-// shard's full durable-commit ingest. The routing spool is transient (the
-// shard's own spool is the durable one), so it is never fsynced. A
-// damaged upload salvages inside whichever shard the raw upload bytes
-// routed to — the stored (re-encoded) id may differ from the routing
-// hash, which is why every global view deduplicates by id instead of
-// trusting placement.
-func (s *Sharded) Ingest(body io.Reader, workers int) (*IngestResult, error) {
-	tmp, err := s.fs.CreateTemp(filepath.Join(s.root, "tmp"), "route-*.spool")
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	closed := false
+	runsDir := sh.runsDir()
+	logPath, canonPath, metaPath := sh.path(meta.ID, ".log"), sh.path(meta.ID, ".canonical"), sh.path(meta.ID, ".json")
+	committed := false
 	defer func() {
-		if !closed {
-			tmp.Close()
+		if committed {
+			return
 		}
-		s.fs.Remove(tmpName)
+		// A half-committed run must not linger in runs/ until the next
+		// recovery scan: reap every artifact this attempt created.
+		sh.fs.Remove(spoolPath)
+		sh.fs.Remove(logPath)
+		sh.fs.Remove(canonPath)
+		sh.fs.Remove(metaPath)
 	}()
 
-	hash := sha256.New()
-	spool := &spoolWriter{f: tmp}
-	_, copyErr := io.Copy(io.MultiWriter(spool, hash), body)
-	if copyErr != nil {
-		if spool.err != nil {
-			// The disk failed, not the upload: a server-side fault.
-			return nil, fmt.Errorf("store: spooling upload: %w", spool.err)
-		}
-		if errors.Is(copyErr, ErrTooLarge) {
-			return &IngestResult{TooLarge: true}, nil
-		}
-		// A mid-body network fault truncates the upload; the shard's
-		// salvage path handles the spooled prefix like any damaged log.
+	if err := sh.fs.Rename(spoolPath, logPath); err != nil {
+		return false, fmt.Errorf("store: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if err := writeFileDurable(sh.fs, runsDir, canonPath, rep.CanonicalDump()); err != nil {
+		return false, err
 	}
-	closed = true
-
-	id := hex.EncodeToString(hash.Sum(nil))
-	sh := s.shards[s.shardOf(id, len(s.shards))]
-	f, err := os.Open(tmpName)
+	if err := sh.fs.SyncDir(runsDir); err != nil {
+		return false, err
+	}
+	mj, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	res, err := sh.Ingest(f, workers)
-	if err != nil {
-		return nil, err
+	// The metadata record is the commit point: once it is durable, the
+	// run exists; until then, recovery sees only uncommitted artifacts.
+	if err := writeFileDurable(sh.fs, runsDir, metaPath, append(mj, '\n')); err != nil {
+		return false, err
 	}
-	if res.Meta != nil && !res.Duplicate {
-		s.mu.Lock()
-		s.dirtyMerged[res.Meta.Name] = true
-		s.mu.Unlock()
+	if err := sh.fs.SyncDir(runsDir); err != nil {
+		return false, err
 	}
-	return res, nil
-}
+	committed = true
 
-// globalRunNames returns the set of workload names present in any shard.
-func (s *Sharded) globalRunNames() map[string]bool {
-	names := make(map[string]bool)
-	for _, m := range s.allRuns() {
-		names[m.Name] = true
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if existing, ok := sh.runs[meta.ID]; ok {
+		// A concurrent identical upload won the race; the files we wrote
+		// are byte-identical, so adopting the existing meta is safe.
+		*meta = *existing
+		return true, nil
 	}
-	return names
-}
-
-// globalRunIDs lists a workload's run ids across every shard, sorted —
-// the deterministic merge order, identical to the flat store's.
-func (s *Sharded) globalRunIDs(name string) []string {
-	var ids []string
-	for _, m := range s.allRuns() {
-		if m.Name == name {
-			ids = append(ids, m.ID)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Dirty reports whether any merged summary — or any shard's own — is
-// stale.
-func (s *Sharded) Dirty() bool {
-	s.mu.Lock()
-	dirty := len(s.dirtyMerged) > 0
-	s.mu.Unlock()
-	if dirty {
-		return true
-	}
-	for _, sh := range s.shards {
-		if sh.Dirty() {
-			return true
-		}
-	}
-	return false
-}
-
-// Compact runs every shard's own compaction concurrently (each shard's
-// summaries are durable artifacts in that shard's compact/ directory),
-// then re-merges every stale workload across shards in globally sorted
-// run-id order and durably swaps the merged summary into the root
-// compact/ directory — the same artifact, byte for byte, a flat store
-// would have written.
-func (s *Sharded) Compact(workers int) error {
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, sh := range s.shards {
-		if !sh.Dirty() {
-			continue
-		}
-		sh := sh
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := sh.Compact(workers); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-
-	s.mu.Lock()
-	stale := make([]string, 0, len(s.dirtyMerged))
-	for name := range s.dirtyMerged {
-		stale = append(stale, name)
-	}
-	s.mu.Unlock()
-	sort.Strings(stale)
-
-	for _, name := range stale {
-		ids := s.globalRunIDs(name)
-		ws, err := mergeWorkloadRuns(name, ids, func(id string) (io.ReadCloser, error) {
-			sh := s.shardHolding(id)
-			if sh == nil {
-				return nil, fmt.Errorf("store: run %s vanished from every shard", id)
-			}
-			return sh.OpenLog(id)
-		})
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(ws, "", "  ")
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		compactDir := filepath.Join(s.root, "compact")
-		if err := writeFileDurable(s.fs, compactDir, filepath.Join(compactDir, compactKey(name)+".json"), append(data, '\n')); err != nil {
-			return err
-		}
-		if err := s.fs.SyncDir(compactDir); err != nil {
-			return err
-		}
-		fresh := s.globalRunIDs(name)
-		s.mu.Lock()
-		s.merged[name] = ws
-		// Re-ingests during the merge re-dirty the workload; only clear the
-		// flag when the merged run set still matches the live one.
-		if sameRunSet(ws.Runs, fresh) {
-			delete(s.dirtyMerged, name)
-		}
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// SiteSummaries returns the merged cross-shard, cross-run site summaries,
-// compacting first if anything is stale — ordering and content identical
-// to the flat store's answer over the same runs.
-func (s *Sharded) SiteSummaries(workers int) ([]*SiteSummary, error) {
-	if s.Dirty() {
-		if err := s.Compact(workers); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	var out []*SiteSummary
-	for _, ws := range s.merged {
-		out = append(out, ws.Sites...)
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Drag != out[j].Drag {
-			return out[i].Drag > out[j].Drag
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Desc < out[j].Desc
-	})
-	return out, nil
-}
-
-// Quarantined lists every quarantine record across all shards plus the
-// root's v1-era legacy records, sorted by file name then run id — a
-// stable order independent of shard count and scan interleaving.
-func (s *Sharded) Quarantined() []QuarantineReason {
-	out := make([]QuarantineReason, 0, len(s.legacy))
-	out = append(out, s.legacy...)
-	for _, sh := range s.shards {
-		out = append(out, sh.Quarantined()...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		if out[i].RunID != out[j].RunID {
-			return out[i].RunID < out[j].RunID
-		}
-		return out[i].Reason < out[j].Reason
-	})
-	return out
+	sh.runs[meta.ID] = meta
+	return false, nil
 }

@@ -128,85 +128,6 @@ func summarizeReport(r *drag.Report) map[string]any {
 	}
 }
 
-// TestShardedMigratesV1Layout reshards a populated flat store in place and
-// checks nothing changes in any answer — and that the flat runs/ tree is
-// actually empty afterwards.
-func TestShardedMigratesV1Layout(t *testing.T) {
-	dir := t.TempDir()
-	flat, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := ingestAll(t, flat)
-	wantSites, err := flat.SiteSummaries(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJSON, _ := json.Marshal(wantSites)
-	wantCanon := make(map[string][]byte)
-	for _, id := range ids {
-		c, err := flat.Canonical(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCanon[id] = c
-	}
-
-	sharded, err := OpenSharded(dir, 4)
-	if err != nil {
-		t.Fatalf("resharding open: %v", err)
-	}
-	ents, err := os.ReadDir(filepath.Join(dir, "runs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 0 {
-		t.Fatalf("v1 runs/ still holds %d entries after migration", len(ents))
-	}
-	if sharded.NumRuns() != len(wantCanon) {
-		t.Fatalf("migrated store has %d runs, want %d", sharded.NumRuns(), len(wantCanon))
-	}
-	spread := 0
-	for i := 0; i < sharded.NumShards(); i++ {
-		if sharded.Shard(i).NumRuns() > 0 {
-			spread++
-		}
-	}
-	if spread < 2 {
-		t.Fatalf("migration left all runs in %d shard(s); want spread across several", spread)
-	}
-	for id, want := range wantCanon {
-		got, err := sharded.Canonical(id)
-		if err != nil {
-			t.Fatalf("canonical %s after migration: %v", id, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("canonical %s changed across migration", id)
-		}
-	}
-	gotSites, err := sharded.SiteSummaries(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, _ := json.Marshal(gotSites)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatal("site summaries changed across migration")
-	}
-
-	// Reopen: the persisted shard count wins over the requested one, and
-	// the merged summaries come back clean (not stale).
-	re, err := OpenSharded(dir, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.NumShards() != 4 {
-		t.Fatalf("reopen used %d shards, want persisted 4", re.NumShards())
-	}
-	if re.Dirty() {
-		t.Fatal("reopened sharded store is dirty despite persisted merges")
-	}
-}
-
 // TestShardedGetPrefix checks cross-shard prefix resolution: unique >=8
 // hex digit prefixes resolve, short or ambiguous ones do not.
 func TestShardedGetPrefix(t *testing.T) {

@@ -3,14 +3,22 @@
 // cross-run compactor that merges runs of the same workload into mergeable
 // per-site summaries.
 //
-// Layout under the root directory:
+// One Store owns N >= 1 shards. Runs are partitioned by their id across
+// the shards; each shard is a durable run log (shard.go). The Store alone
+// owns the per-workload summaries, their staleness set and the running
+// totals, so every query answer is a function of the stored run set only,
+// byte-identical for every shard count. Layout under the root directory:
 //
+//	sharding.json           {"version":1,"shards":N}, fixed at creation
 //	tmp/                    ingest spool files (removed on open)
-//	runs/<id>.log           the stored drag log (raw upload bytes for clean
+//	shards/NNN/runs/<id>.log
+//	                        the stored drag log (raw upload bytes for clean
 //	                        ingests; the re-encoded salvaged prefix for
 //	                        damaged ones)
-//	runs/<id>.json          RunMeta — the commit record, written last
-//	runs/<id>.canonical     drag.CanonicalDump of the run's analysis under
+//	shards/NNN/runs/<id>.json
+//	                        RunMeta — the commit record, written last
+//	shards/NNN/runs/<id>.canonical
+//	                        drag.CanonicalDump of the run's analysis under
 //	                        default options — the byte-exact report the
 //	                        /report endpoint serves
 //	compact/<key>.json      per-workload compacted site summaries
@@ -19,7 +27,8 @@
 //
 // A run's id is the lowercase hex SHA-256 of the stored log bytes, so
 // identical uploads deduplicate and the id doubles as an integrity oracle:
-// anyone holding the log can recompute the id offline.
+// anyone holding the log can recompute the id offline. The id also picks
+// the run's home shard (shardOf).
 //
 // Durability contract: by the time Ingest returns a non-duplicate result,
 // the run's log, canonical dump and metadata are fsynced and their
@@ -42,6 +51,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -125,13 +135,11 @@ type IngestResult struct {
 func (r *IngestResult) Clean() bool { return r.Salvage == nil && !r.TooLarge }
 
 // RunStore is the query-and-ingest surface a dragserved instance needs
-// from a run store. Both the flat single-directory *Store (v1 layout) and
-// the site-hash-partitioned *Sharded store implement it; the server is
-// written against this interface so a deployment can switch layouts
-// without touching a handler. The contract every implementation owes:
-// answers are deterministic functions of the stored run set (byte-identical
-// across layouts — CI enforces it for the sharded store), and all methods
-// are safe for concurrent use.
+// from a run store. *Store is its one implementation; the server is
+// written against the interface so that a wrapper around a Store, such as
+// the benchmark's compaction-counting store, can stand in for it. The
+// contract: answers are deterministic functions of the stored run set, and
+// all methods are safe for concurrent use.
 type RunStore interface {
 	// Root returns the store's root directory.
 	Root() string
@@ -162,12 +170,21 @@ type RunStore interface {
 
 // Store is the on-disk run store. All methods are safe for concurrent use.
 type Store struct {
-	root string
-	fs   FS
+	root   string
+	fs     FS
+	shards []*shard
 
-	mu    sync.Mutex
-	runs  map[string]*RunMeta
-	bytes int64
+	// compactMu makes compaction single-flight: a Compact that starts
+	// while another runs waits for it, then merges only what is still
+	// dirty.
+	compactMu sync.Mutex
+
+	mu sync.Mutex
+	// numRuns, bytes and salvaged are running totals over every shard,
+	// updated at commit.
+	numRuns  int
+	bytes    int64
+	salvaged int
 	// dirty marks workload names whose compacted summaries are stale.
 	dirty map[string]bool
 	// compacted holds the per-workload summaries, keyed by workload name.
@@ -176,33 +193,81 @@ type Store struct {
 	quarantined []QuarantineReason
 }
 
-// Open creates (if needed) and loads a store rooted at dir.
-func Open(dir string) (*Store, error) { return OpenFS(dir, OSFS{}) }
+// Sharded is an alias of Store for callers that name the store by its
+// shards; every Store has N >= 1 of them.
+type Sharded = Store
 
-// OpenFS opens a store whose mutations run through fsys — the chaos
-// harness's entry point; production callers use Open. Opening runs the
-// recovery scan: every stored run is verified against its content hash
-// and torn or orphaned entries are quarantined, so Open succeeds on any
-// directory state a crash can produce.
-func OpenFS(dir string, fsys FS) (*Store, error) {
+var _ RunStore = (*Store)(nil)
+
+// shardConfig is the persisted shard map. The shard count is fixed at
+// store creation; reopening with a different requested count honors the
+// on-disk value.
+type shardConfig struct {
+	Version int `json:"version"`
+	Shards  int `json:"shards"`
+}
+
+// Open creates (if needed) and loads a store rooted at dir, with one
+// shard unless dir already fixes the count.
+func Open(dir string) (*Store, error) { return OpenShardedFS(dir, 1, OSFS{}) }
+
+// OpenFS is Open behind the filesystem seam.
+func OpenFS(dir string, fsys FS) (*Store, error) { return OpenShardedFS(dir, 1, fsys) }
+
+// OpenSharded creates (if needed) and loads a store rooted at dir with n
+// shards; an existing sharding.json fixes the count and n is ignored.
+func OpenSharded(dir string, n int) (*Store, error) { return OpenShardedFS(dir, n, OSFS{}) }
+
+// OpenShardedFS opens a store whose mutations run through fsys — the
+// chaos harness's entry point; production callers use Open or
+// OpenSharded. Opening runs the recovery scan: every stored run is
+// verified against its content hash and torn or orphaned entries are
+// quarantined, so Open succeeds on any directory state a crash can
+// produce.
+func OpenShardedFS(dir string, n int, fsys FS) (*Store, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("store: shard count %d, want at least 1", n)
+	}
+	// The unsharded layout kept runs in a root runs/ directory. This
+	// version reads only shards/, so refuse such a store rather than
+	// silently stop serving its runs.
+	if ents, err := os.ReadDir(filepath.Join(dir, "runs")); err == nil && len(ents) > 0 {
+		return nil, fmt.Errorf("store: %s holds runs in the unsharded layout (runs/), which this version does not read", dir)
+	}
 	s := &Store{
 		root:      dir,
 		fs:        fsys,
-		runs:      make(map[string]*RunMeta),
 		dirty:     make(map[string]bool),
 		compacted: make(map[string]*workloadSummary),
 	}
-	for _, sub := range []string{"tmp", "runs", "compact", "quarantine"} {
+	for _, sub := range []string{"tmp", "compact", "quarantine", "shards"} {
 		if err := fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
+	}
+	n, err := s.loadOrInitConfig(n)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		sh := &shard{dir: filepath.Join(dir, "shards", fmt.Sprintf("%03d", i)), fs: fsys, runs: make(map[string]*RunMeta)}
+		if err := fsys.MkdirAll(sh.runsDir()); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		s.shards = append(s.shards, sh)
 	}
 	if err := s.recoverLocked(); err != nil {
 		return nil, err
 	}
 	// Any workload whose compacted summary is missing or no longer covers
 	// its run set needs recompaction.
-	for name := range s.runNames() {
+	names := make(map[string]bool)
+	for _, sh := range s.shards {
+		for _, m := range sh.runs {
+			names[m.Name] = true
+		}
+	}
+	for name := range names {
 		sum := s.compacted[name]
 		if sum == nil || !sameRunSet(sum.Runs, s.runIDs(name)) {
 			s.dirty[name] = true
@@ -211,44 +276,97 @@ func OpenFS(dir string, fsys FS) (*Store, error) {
 	return s, nil
 }
 
+// loadOrInitConfig reads sharding.json, creating it durably on first open.
+// A missing or torn config with shards already on disk is recovered by
+// counting the shard directories (the layout itself is the source of
+// truth).
+func (s *Store) loadOrInitConfig(n int) (int, error) {
+	path := filepath.Join(s.root, "sharding.json")
+	data, err := os.ReadFile(path)
+	if err == nil {
+		var cfg shardConfig
+		if jerr := json.Unmarshal(data, &cfg); jerr == nil && cfg.Shards > 0 {
+			return cfg.Shards, nil
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	if existing := s.countShardDirs(); existing > 0 {
+		n = existing
+	}
+	blob, err := json.MarshalIndent(shardConfig{Version: 1, Shards: n}, "", "  ")
+	if err != nil {
+		return 0, fmt.Errorf("store: %w", err)
+	}
+	if err := writeFileDurable(s.fs, s.root, path, append(blob, '\n')); err != nil {
+		return 0, err
+	}
+	if err := s.fs.SyncDir(s.root); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+func (s *Store) countShardDirs() int {
+	ents, err := os.ReadDir(filepath.Join(s.root, "shards"))
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, e := range ents {
+		if _, err := strconv.Atoi(e.Name()); err == nil && e.IsDir() {
+			n++
+		}
+	}
+	return n
+}
+
 // Root returns the store's root directory.
 func (s *Store) Root() string { return s.root }
 
+// NumShards returns the shard count.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// Shard exposes one shard's run log (tests, placement probes).
+func (s *Store) Shard(i int) *shard { return s.shards[i] }
+
+// home returns the shard a run id routes to.
+func (s *Store) home(id string) *shard { return s.shards[shardOf(id, len(s.shards))] }
+
 // Runs lists the stored runs sorted by id.
 func (s *Store) Runs() []*RunMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*RunMeta, 0, len(s.runs))
-	for _, m := range s.runs {
-		out = append(out, m)
+	var out []*RunMeta
+	for _, sh := range s.shards {
+		out = append(out, sh.Runs()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Get returns a run's metadata. The id may be abbreviated to a unique
-// prefix of at least 8 hex digits.
+// prefix of at least 8 hex digits. shardOf reads only the first 8 digits,
+// so a full id and every such prefix of it name the same home shard, the
+// only one Get looks at.
 func (s *Store) Get(id string) (*RunMeta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.runs[id]; ok {
+	sh := s.home(id)
+	if m, ok := sh.Get(id); ok {
 		return m, true
 	}
-	if len(id) >= 8 {
-		var found *RunMeta
-		for rid, m := range s.runs {
-			if strings.HasPrefix(rid, id) {
-				if found != nil {
-					return nil, false // ambiguous
-				}
-				found = m
+	if len(id) < 8 || len(id) >= 2*sha256.Size {
+		return nil, false
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var found *RunMeta
+	for rid, m := range sh.runs {
+		if strings.HasPrefix(rid, id) {
+			if found != nil {
+				return nil, false // ambiguous
 			}
-		}
-		if found != nil {
-			return found, true
+			found = m
 		}
 	}
-	return nil, false
+	return found, found != nil
 }
 
 // TotalBytes is the summed size of all stored logs.
@@ -262,20 +380,23 @@ func (s *Store) TotalBytes() int64 {
 func (s *Store) NumRuns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.runs)
+	return s.numRuns
 }
 
 // SalvagedRuns counts stored runs that came from damaged uploads.
 func (s *Store) SalvagedRuns() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, m := range s.runs {
-		if m.Salvaged {
-			n++
-		}
+	return s.salvaged
+}
+
+// addLocked counts a newly stored run into the running totals.
+func (s *Store) addLocked(m *RunMeta) {
+	s.numRuns++
+	s.bytes += m.Bytes
+	if m.Salvaged {
+		s.salvaged++
 	}
-	return n
 }
 
 // OpenLog opens a stored run's log for reading.
@@ -284,7 +405,7 @@ func (s *Store) OpenLog(id string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: unknown run %q", id)
 	}
-	return os.Open(s.logPath(m.ID))
+	return os.Open(s.home(m.ID).path(m.ID, ".log"))
 }
 
 // Canonical returns the stored canonical report dump (default analysis
@@ -294,7 +415,7 @@ func (s *Store) Canonical(id string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: unknown run %q", id)
 	}
-	return os.ReadFile(filepath.Join(s.root, "runs", m.ID+".canonical"))
+	return os.ReadFile(s.home(m.ID).path(m.ID, ".canonical"))
 }
 
 // Report recomputes a run's analysis from its stored log. workers <= 0
@@ -311,8 +432,6 @@ func (s *Store) Report(id string, opts drag.Options, workers int) (*drag.Report,
 	}
 	return rep, nil
 }
-
-func (s *Store) logPath(id string) string { return filepath.Join(s.root, "runs", id+".log") }
 
 // Ingest stores one uploaded drag log, streaming it block-by-block through
 // profile.LogStream: blocks are decoded and aggregated on a workers-sized
@@ -532,75 +651,18 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	return res, nil
 }
 
-// commit runs the durable commit protocol: rename the fsynced spool into
-// runs/, durably write the canonical dump, fsync the directory, then
-// durably write the metadata record — the commit point — and fsync the
-// directory again. Recovery treats a run as committed if and only if its
-// metadata parses and the log hashes to the run id, so a crash anywhere
-// before the final SyncDir leaves at worst unacknowledged debris that the
-// recovery scan quarantines or reaps. Duplicate ids are detected under
-// the lock; the first writer wins and later identical uploads are
-// reported as duplicates.
+// commit moves a fsynced spool into the home shard of the run's id and,
+// unless the id was already stored, counts the run into the totals and
+// marks its workload stale.
 func (s *Store) commit(meta *RunMeta, spoolPath string, rep *drag.Report) (duplicate bool, err error) {
+	dup, err := s.home(meta.ID).commit(meta, spoolPath, rep)
+	if err != nil || dup {
+		return dup, err
+	}
 	s.mu.Lock()
-	if existing, ok := s.runs[meta.ID]; ok {
-		s.mu.Unlock()
-		*meta = *existing
-		return true, nil
-	}
-	s.mu.Unlock()
-
-	runsDir := filepath.Join(s.root, "runs")
-	logPath := s.logPath(meta.ID)
-	canonPath := filepath.Join(runsDir, meta.ID+".canonical")
-	metaPath := filepath.Join(runsDir, meta.ID+".json")
-	committed := false
-	defer func() {
-		if committed {
-			return
-		}
-		// A half-committed run must not linger in runs/ until the next
-		// recovery scan: reap every artifact this attempt created.
-		s.fs.Remove(spoolPath)
-		s.fs.Remove(logPath)
-		s.fs.Remove(canonPath)
-		s.fs.Remove(metaPath)
-	}()
-
-	if err := s.fs.Rename(spoolPath, logPath); err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileDurable(s.fs, runsDir, canonPath, rep.CanonicalDump()); err != nil {
-		return false, err
-	}
-	if err := s.fs.SyncDir(runsDir); err != nil {
-		return false, err
-	}
-	mj, err := json.MarshalIndent(meta, "", "  ")
-	if err != nil {
-		return false, fmt.Errorf("store: %w", err)
-	}
-	// The metadata record is the commit point: once it is durable, the
-	// run exists; until then, recovery sees only uncommitted artifacts.
-	if err := writeFileDurable(s.fs, runsDir, metaPath, append(mj, '\n')); err != nil {
-		return false, err
-	}
-	if err := s.fs.SyncDir(runsDir); err != nil {
-		return false, err
-	}
-	committed = true
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if existing, ok := s.runs[meta.ID]; ok {
-		// A concurrent identical upload won the race; the files we wrote
-		// are byte-identical, so adopting the existing meta is safe.
-		*meta = *existing
-		return true, nil
-	}
-	s.runs[meta.ID] = meta
-	s.bytes += meta.Bytes
+	s.addLocked(meta)
 	s.dirty[meta.Name] = true
+	s.mu.Unlock()
 	return false, nil
 }
 
@@ -627,32 +689,18 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// runNames returns the set of workload names present (caller need not hold
-// the lock).
-func (s *Store) runNames() map[string]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make(map[string]bool)
-	for _, m := range s.runs {
-		names[m.Name] = true
-	}
-	return names
-}
-
-// runIDs lists the ids of a workload's runs, sorted (the compactor's
-// deterministic merge order). Caller must not hold the lock.
+// runIDs lists the ids of a workload's runs across every shard, sorted
+// (the compactor's deterministic merge order).
 func (s *Store) runIDs(name string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runIDsLocked(name)
-}
-
-func (s *Store) runIDsLocked(name string) []string {
 	var ids []string
-	for id, m := range s.runs {
-		if m.Name == name {
-			ids = append(ids, id)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for id, m := range sh.runs {
+			if m.Name == name {
+				ids = append(ids, id)
+			}
 		}
+		sh.mu.Unlock()
 	}
 	sort.Strings(ids)
 	return ids

@@ -105,7 +105,7 @@ func TestIngestStoresContentAddressed(t *testing.T) {
 		t.Errorf("meta = %+v, want %d records name w", res.Meta, len(p.Records))
 	}
 
-	stored, err := os.ReadFile(filepath.Join(st.Root(), "runs", wantID+".log"))
+	stored, err := os.ReadFile(filepath.Join(st.Root(), "shards", "000", "runs", wantID+".log"))
 	if err != nil {
 		t.Fatal(err)
 	}

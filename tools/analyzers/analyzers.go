@@ -6,10 +6,11 @@
 //     command's func main. Scattered os.Exit calls skip deferred cleanup
 //     and fragment the exit-code contract documented in the README.
 //
-//   - storelock: writes to the store.Store fields guarded by its mutex
-//     (runs, bytes, dirty, compacted) from a function that neither takes
-//     the lock, nor declares lock-free access in its name (the *Locked
-//     suffix convention), nor constructed the store itself. Every store
+//   - storelock: writes to the mutex-guarded fields of store.Store (the
+//     running totals, dirty set, summaries and quarantine records) or of
+//     its shards (the run set) from a function that neither takes a lock,
+//     nor declares lock-free access in its name (the *Locked suffix
+//     convention), nor constructed the store or shard itself. Every store
 //     corruption bug so far has been exactly this shape.
 //
 //   - gotrack: goroutine launches in the long-lived service packages
@@ -53,9 +54,14 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: %s: %s", f.File, f.Line, f.Rule, f.Message)
 }
 
-// guardedStoreFields are the store.Store fields its mutex protects.
+// guardedStoreFields are the store.Store and store shard fields their
+// mutexes protect.
 var guardedStoreFields = map[string]bool{
-	"runs": true, "bytes": true, "dirty": true, "compacted": true,
+	// Store
+	"numRuns": true, "bytes": true, "salvaged": true, "dirty": true,
+	"compacted": true, "quarantined": true,
+	// shard
+	"runs": true,
 }
 
 // CheckDir walks every non-test .go file under root (skipping vendor-ish
@@ -183,12 +189,12 @@ func exitcheck(fset *token.FileSet, file *ast.File, rel string) []Finding {
 	return out
 }
 
-// storelock flags guarded store.Store field writes in functions that never
-// take the lock. The analysis is per-function and syntactic: a function is
+// storelock flags guarded store field writes in functions that never take
+// the lock. The analysis is per-function and syntactic: a function is
 // exempt if its name ends in "Locked" (the caller-holds-the-lock
-// convention), if its body locks <recv>.mu, or if the mutated variable was
-// built in-function from a Store composite literal (a store nobody else
-// can see yet).
+// convention), if its body locks <x>.mu, or if the mutated variable was
+// built in-function from a Store or shard composite literal (one nobody
+// else can see yet).
 func storelock(fset *token.FileSet, file *ast.File, rel string) []Finding {
 	if file.Name.Name != "store" {
 		return nil
@@ -227,7 +233,7 @@ func storelock(fset *token.FileSet, file *ast.File, rel string) []Finding {
 			out = append(out, Finding{
 				File: rel, Line: fset.Position(pos).Line,
 				Rule: "storelock",
-				Message: fmt.Sprintf("write to Store.%s without holding mu;"+
+				Message: fmt.Sprintf("write to guarded store field %s without holding mu;"+
 					" lock, or mark the function with the Locked suffix", field),
 			})
 		}
@@ -355,7 +361,7 @@ func guardedWrite(e ast.Expr) (field, target string) {
 	}
 }
 
-// isStoreLiteral matches `Store{...}` and `&Store{...}`.
+// isStoreLiteral matches `Store{...}`, `shard{...}` and their addresses.
 func isStoreLiteral(e ast.Expr) bool {
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
 		e = u.X
@@ -365,7 +371,7 @@ func isStoreLiteral(e ast.Expr) bool {
 		return false
 	}
 	id, ok := cl.Type.(*ast.Ident)
-	return ok && id.Name == "Store"
+	return ok && (id.Name == "Store" || id.Name == "shard")
 }
 
 // isPkgCall matches a call of the form pkg.Name(...).

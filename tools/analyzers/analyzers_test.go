@@ -75,37 +75,51 @@ func TestStorelock(t *testing.T) {
 import "sync"
 type RunMeta struct{ ID string; Bytes int64 }
 type Store struct {
-	mu    sync.Mutex
-	runs  map[string]*RunMeta
-	bytes int64
-	dirty map[string]bool
+	mu      sync.Mutex
+	numRuns int
+	bytes   int64
+	dirty   map[string]bool
+}
+type shard struct {
+	mu   sync.Mutex
+	runs map[string]*RunMeta
 }
 // Locked by convention: the caller holds mu (or exclusive access).
 func (s *Store) addLocked(m *RunMeta) {
-	s.runs[m.ID] = m
+	s.numRuns++
 	s.bytes += m.Bytes
 }
 // Locks: fine.
 func (s *Store) Add(m *RunMeta) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.runs[m.ID] = m
+	s.numRuns++
 	s.dirty[m.ID] = true
 }
-// Constructor mutating its own unpublished store: fine.
+func (sh *shard) put(m *RunMeta) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.runs[m.ID] = m
+}
+// Constructors mutating their own unpublished values: fine.
 func Open() *Store {
-	s := &Store{runs: map[string]*RunMeta{}, dirty: map[string]bool{}}
-	s.runs["x"] = nil
+	s := &Store{dirty: map[string]bool{}}
+	s.dirty["x"] = true
+	sh := &shard{runs: map[string]*RunMeta{}}
+	sh.runs["x"] = nil
 	return s
 }
-// Violations: three unguarded writes.
+// Violations: three unguarded Store writes and one unguarded shard write.
 func (s *Store) Evict(id string) {
-	delete(s.runs, id)
+	s.numRuns--
 	s.bytes = 0
 	s.dirty[id] = false
 }
+func (sh *shard) drop(id string) {
+	delete(sh.runs, id)
+}
 // Reads alone are not flagged (the rule targets writes).
-func (s *Store) Peek(id string) *RunMeta { return s.runs[id] }
+func (sh *shard) Peek(id string) *RunMeta { return sh.runs[id] }
 `,
 		// Same shapes outside package store are ignored.
 		"internal/other/other.go": `package other
@@ -117,8 +131,8 @@ func (s *Store) Set() { s.runs["x"] = 1 }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 3 {
-		t.Fatalf("want 3 storelock findings, got %v", rules(fs))
+	if len(fs) != 4 {
+		t.Fatalf("want 4 storelock findings, got %v", rules(fs))
 	}
 	for _, f := range fs {
 		if f.Rule != "storelock" || f.File != filepath.Join("internal", "store", "store.go") {
