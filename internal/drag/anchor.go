@@ -1,7 +1,6 @@
 package drag
 
 import (
-	"sort"
 	"strings"
 
 	"dragprof/internal/profile"
@@ -50,16 +49,16 @@ func AnchorNode(p *profile.Profile, chain int32, isLib func(string) bool) (metho
 // AnchorGroups partitions records by anchor allocation site and returns
 // the groups sorted by drag, with lifetime histograms attached — the
 // "second step" breakdown of Section 3.4 (drag time, in-use time and
-// collection time distributions at the anchor site).
+// collection time distributions at the anchor site). Each group folds its
+// records through the analyzer's accumulate and finalize.
 func AnchorGroups(p *profile.Profile, opts Options) []*Group {
 	opts = opts.withDefaults(p)
 	type key struct{ method, line int32 }
 	accs := make(map[key]*groupAcc)
-
-	neverUsed := func(r *profile.Record) bool {
-		return !r.Used() || r.InUseTime() <= opts.NeverUsedWindow
-	}
-	for _, r := range p.Reported() {
+	for _, r := range p.Records {
+		if r.Interned {
+			continue
+		}
 		m, l, ok := AnchorNode(p, r.Chain, nil)
 		if !ok {
 			continue
@@ -68,42 +67,16 @@ func AnchorGroups(p *profile.Profile, opts Options) []*Group {
 		acc, exists := accs[k]
 		if !exists {
 			desc := p.ChainDesc(chainOfNode(p, m, l, r.Chain), 1)
-			acc = &groupAcc{
-				g:       Group{Key: "anchor:" + itoa(m) + ":" + itoa(l), SiteID: -1, Desc: desc},
-				lastUse: make(map[string]*PairGroup),
-			}
+			acc = &groupAcc{g: Group{Key: "anchor:" + itoa(m) + ":" + itoa(l), SiteID: -1, Desc: desc}}
 			accs[k] = acc
 		}
-		nu := neverUsed(r)
-		g := &acc.g
-		g.Count++
-		g.Bytes += r.Size
-		g.Drag += r.Drag()
-		g.InUse += r.Size * r.InUseTime()
-		if nu {
-			g.NeverUsed++
-			g.NeverUsedDrag += r.Drag()
-		}
-		if r.DragTime() > 0 {
-			acc.dragTimes = append(acc.dragTimes, float64(r.DragTime()))
-		}
-		g.DragHist.Add(r.DragTime(), opts.NeverUsedWindow)
-		g.InUseHist.Add(r.InUseTime(), opts.NeverUsedWindow)
+		accumulate(acc, r, opts.neverUsed(r), nil, opts.NeverUsedWindow)
 	}
-
-	out := make([]*Group, 0, len(accs))
+	groups := make([]*groupAcc, 0, len(accs))
 	for _, acc := range accs {
-		g := &acc.g
-		g.MeanDragTime, g.StdDragTime = meanStd(acc.dragTimes)
-		g.Pattern = classify(g, opts)
-		out = append(out, g)
+		groups = append(groups, acc)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Drag != out[j].Drag {
-			return out[i].Drag > out[j].Drag
-		}
-		return out[i].Desc < out[j].Desc
-	})
+	out, _ := finalize(groups, opts, false)
 	return out
 }
 

@@ -245,12 +245,27 @@ func Analyze(p *profile.Profile, opts Options) *Report {
 // builds one per record chunk and merges them in chunk order, which keeps
 // every per-group sequence (and hence every floating-point reduction)
 // byte-identical to the serial pass.
+//
+// The record path works on integers: a coarse group is found by site id,
+// and a nested-site group or last-use partition by the suffix index its
+// chain has in the aggregator's key table. Strings are rendered only when
+// the aggregator first meets a chain, or creates a group or a partition.
+// Aggregators over different tables (other blocks, other runs) merge by
+// canonical key, once per group and partition, never per record.
 type aggregator struct {
-	p      *profile.Profile
-	opts   Options
-	rep    Report
-	coarse map[string]*groupAcc
-	fine   map[string]*groupAcc
+	p    *profile.Profile
+	opts Options
+	rep  Report
+	keys keyTable
+	// chainKey maps a chain id to its suffix index + 1 (0: not met yet);
+	// the last slot stands for every id outside the chain table.
+	chainKey []int32
+	// coarse holds the per-site groups by site id; site ids outside the
+	// profile's site table (damaged logs only) go in coarseOther.
+	coarse      []*groupAcc
+	coarseOther map[int32]*groupAcc
+	// fine holds the nested-site groups by suffix index.
+	fine []*groupAcc
 	// rate is the profile's effective sampling rate; sampled gates the
 	// Horvitz-Thompson estimate machinery (exact runs pay nothing for it).
 	rate    float64
@@ -262,11 +277,112 @@ func newAggregator(p *profile.Profile, opts Options) *aggregator {
 	return &aggregator{
 		p:       p,
 		opts:    opts,
-		coarse:  make(map[string]*groupAcc),
-		fine:    make(map[string]*groupAcc),
+		keys:    newKeyTable(),
 		rate:    rate,
 		sampled: rate != 1,
 	}
+}
+
+// neverUsedDesc keys and describes the never-used last-use partition.
+const neverUsedDesc = "<never used>"
+
+// keyTable interns canonical chain-suffix keys (profile.ChainSuffixKey)
+// with their descriptions. Index 0 is the never-used partition, whose key
+// no chain suffix can take.
+type keyTable struct {
+	index map[string]int32
+	keys  []string
+	descs []string
+}
+
+func newKeyTable() keyTable {
+	return keyTable{
+		index: map[string]int32{neverUsedDesc: 0},
+		keys:  []string{neverUsedDesc},
+		descs: []string{neverUsedDesc},
+	}
+}
+
+func (t *keyTable) add(key, desc string) int32 {
+	k := int32(len(t.keys))
+	t.index[key] = k
+	t.keys = append(t.keys, key)
+	t.descs = append(t.descs, desc)
+	return k
+}
+
+// from returns the index in t of entry k of another table.
+func (t *keyTable) from(o *keyTable, k int32) int32 {
+	if i, ok := t.index[o.keys[k]]; ok {
+		return i
+	}
+	return t.add(o.keys[k], o.descs[k])
+}
+
+// suffix returns the suffix index of a chain at the analysis depth,
+// rendering its key (and, for a new key, its description) only the first
+// time the aggregator meets the chain.
+func (a *aggregator) suffix(chain int32) int32 {
+	n := len(a.p.ChainNodes)
+	slot := n
+	if chain >= 0 && int(chain) < n {
+		slot = int(chain)
+	}
+	if a.chainKey == nil {
+		a.chainKey = make([]int32, n+1)
+	}
+	if k := a.chainKey[slot]; k > 0 {
+		return k - 1
+	}
+	depth := a.opts.NestDepth
+	key := a.p.ChainSuffixKey(chain, depth)
+	k, ok := a.keys.index[key]
+	if !ok {
+		k = a.keys.add(key, a.p.ChainDesc(chain, depth))
+	}
+	a.chainKey[slot] = k + 1
+	return k
+}
+
+func (a *aggregator) coarseGet(site int32) *groupAcc {
+	if site >= 0 && int(site) < len(a.coarse) {
+		return a.coarse[site]
+	}
+	return a.coarseOther[site]
+}
+
+func (a *aggregator) coarsePut(site int32, g *groupAcc) {
+	if n := len(a.p.Sites); site >= 0 && int(site) < n {
+		if a.coarse == nil {
+			a.coarse = make([]*groupAcc, n)
+		}
+		a.coarse[site] = g
+		return
+	}
+	if a.coarseOther == nil {
+		a.coarseOther = make(map[int32]*groupAcc)
+	}
+	a.coarseOther[site] = g
+}
+
+func (a *aggregator) fineGet(k int32) *groupAcc {
+	if int(k) < len(a.fine) {
+		return a.fine[k]
+	}
+	return nil
+}
+
+func (a *aggregator) finePut(k int32, g *groupAcc) {
+	for int(k) >= len(a.fine) {
+		a.fine = append(a.fine, nil)
+	}
+	a.fine[k] = g
+}
+
+// neverUsed applies the Section 3.4 convention: an object with no uses,
+// or with uses only inside the never-used window, was never used.
+func (o Options) neverUsed(r *profile.Record) bool {
+	return !r.Used() || r.InUseTime() <= o.NeverUsedWindow
 }
 
 // add accumulates one trailer. Interned records are excluded from reports
@@ -276,19 +392,18 @@ func (a *aggregator) add(r *profile.Record) {
 	if r.Interned {
 		return
 	}
-	p, opts := a.p, a.opts
 	a.rep.TotalObjects++
 	a.rep.TotalBytes += r.Size
 	a.rep.ReachableIntegral += r.Size * r.LifeTime()
 	a.rep.InUseIntegral += r.Size * r.InUseTime()
 	a.rep.TotalDrag += r.Drag()
-	nu := !r.Used() || r.InUseTime() <= opts.NeverUsedWindow
+	nu := a.opts.neverUsed(r)
 	if nu {
 		a.rep.NeverUsedObjects++
 		a.rep.NeverUsedDrag += r.Drag()
 	}
 
-	var est estSample
+	var est *estSample
 	if a.sampled {
 		// Horvitz-Thompson weight: this record stands in for 1/π objects
 		// of its site, where π is its byte-weighted inclusion probability.
@@ -298,18 +413,50 @@ func (a *aggregator) add(r *profile.Record) {
 			// damaged logs) count as certainly-included.
 			pi = 1
 		}
-		est = estSample{
+		est = &estSample{
 			pi:   pi,
 			w:    1 / pi,
 			size: float64(r.Size),
 			drag: float64(r.Drag()),
 		}
 	}
+	lu := int32(0) // the never-used partition
+	if r.Used() {
+		lu = a.suffix(r.LastUseChain)
+	}
+	window := a.opts.NeverUsedWindow
 
-	ck := "site:" + itoa(r.Site)
-	accumulate(a.coarse, ck, p.SiteDesc(r.Site), r.Site, r, nu, a.sampled, est, p, opts)
-	fk := "chain:" + p.ChainSuffixKey(r.Chain, opts.NestDepth)
-	accumulate(a.fine, fk, p.ChainDesc(r.Chain, opts.NestDepth), -1, r, nu, a.sampled, est, p, opts)
+	cg := a.coarseGet(r.Site)
+	if cg == nil {
+		cg = newGroupAcc("site:"+itoa(r.Site), r.Site, a.p.SiteDesc(r.Site))
+		a.coarsePut(r.Site, cg)
+	}
+	accumulate(cg, r, nu, est, window)
+	a.partition(cg, lu).add(r)
+
+	fk := a.suffix(r.Chain)
+	fg := a.fineGet(fk)
+	if fg == nil {
+		fg = newGroupAcc("chain:"+a.keys.keys[fk], -1, a.keys.descs[fk])
+		a.finePut(fk, fg)
+	}
+	accumulate(fg, r, nu, est, window)
+	a.partition(fg, lu).add(r)
+}
+
+// partition returns g's last-use partition for suffix index lu.
+func (a *aggregator) partition(g *groupAcc, lu int32) *PairGroup {
+	pg, ok := g.lastUse[lu]
+	if !ok {
+		pg = &PairGroup{LastUseDesc: a.keys.descs[lu]}
+		g.lastUse[lu] = pg
+	}
+	return pg
+}
+
+func (pg *PairGroup) add(r *profile.Record) {
+	pg.Count++
+	pg.Drag += r.Drag()
 }
 
 // merge folds b (covering a later, disjoint record range) into a.
@@ -321,42 +468,59 @@ func (a *aggregator) merge(b *aggregator) {
 	a.rep.TotalDrag += b.rep.TotalDrag
 	a.rep.NeverUsedObjects += b.rep.NeverUsedObjects
 	a.rep.NeverUsedDrag += b.rep.NeverUsedDrag
-	mergeGroups(a.coarse, b.coarse)
-	mergeGroups(a.fine, b.fine)
-}
-
-// mergeGroups folds src group accumulators into dst. Map iteration order
-// does not matter: every per-key reduction is either integer (commutative)
-// or an ordered slice append, and src's spans follow dst's in record order.
-func mergeGroups(dst, src map[string]*groupAcc) {
-	for k, sa := range src {
-		da, ok := dst[k]
-		if !ok {
-			dst[k] = sa
-			continue
-		}
-		da.g.Count += sa.g.Count
-		da.g.NeverUsed += sa.g.NeverUsed
-		da.g.Bytes += sa.g.Bytes
-		da.g.Drag += sa.g.Drag
-		da.g.NeverUsedDrag += sa.g.NeverUsedDrag
-		da.g.InUse += sa.g.InUse
-		da.dragTimes = append(da.dragTimes, sa.dragTimes...)
-		da.samples = append(da.samples, sa.samples...)
-		for i := range sa.g.DragHist {
-			da.g.DragHist[i] += sa.g.DragHist[i]
-			da.g.InUseHist[i] += sa.g.InUseHist[i]
-		}
-		for lk, spg := range sa.lastUse {
-			dpg, ok := da.lastUse[lk]
-			if !ok {
-				da.lastUse[lk] = spg
-				continue
-			}
-			dpg.Count += spg.Count
-			dpg.Drag += spg.Drag
+	for site, g := range b.coarse {
+		if g != nil {
+			a.coarsePut(int32(site), a.mergeGroup(a.coarseGet(int32(site)), g, b))
 		}
 	}
+	for site, g := range b.coarseOther {
+		a.coarsePut(site, a.mergeGroup(a.coarseGet(site), g, b))
+	}
+	for k, g := range b.fine {
+		if g != nil {
+			dk := a.keys.from(&b.keys, int32(k))
+			a.finePut(dk, a.mergeGroup(a.fineGet(dk), g, b))
+		}
+	}
+}
+
+// mergeGroup folds src, a group of b, into dst and returns dst; when a has
+// no such group (dst nil) it adopts src. Last-use partitions are matched
+// by canonical key. Iteration order does not matter: every reduction is
+// either integer (commutative) or an ordered slice append, and src's
+// records follow dst's.
+func (a *aggregator) mergeGroup(dst, src *groupAcc, b *aggregator) *groupAcc {
+	if dst == nil {
+		parts := src.lastUse
+		src.lastUse = make(map[int32]*PairGroup, len(parts))
+		for k, pg := range parts {
+			src.lastUse[a.keys.from(&b.keys, k)] = pg
+		}
+		return src
+	}
+	dst.g.Count += src.g.Count
+	dst.g.NeverUsed += src.g.NeverUsed
+	dst.g.Bytes += src.g.Bytes
+	dst.g.Drag += src.g.Drag
+	dst.g.NeverUsedDrag += src.g.NeverUsedDrag
+	dst.g.InUse += src.g.InUse
+	dst.dragTimes = append(dst.dragTimes, src.dragTimes...)
+	dst.samples = append(dst.samples, src.samples...)
+	for i := range src.g.DragHist {
+		dst.g.DragHist[i] += src.g.DragHist[i]
+		dst.g.InUseHist[i] += src.g.InUseHist[i]
+	}
+	for k, spg := range src.lastUse {
+		dk := a.keys.from(&b.keys, k)
+		dpg, ok := dst.lastUse[dk]
+		if !ok {
+			dst.lastUse[dk] = spg
+			continue
+		}
+		dpg.Count += spg.Count
+		dpg.Drag += spg.Drag
+	}
+	return dst
 }
 
 // report finalizes the aggregation.
@@ -366,9 +530,13 @@ func (a *aggregator) report() *Report {
 	rep.FinalClock = a.p.FinalClock
 	rep.Options = a.opts
 	rep.SampleRate = a.rate
+	coarse := nonNil(a.coarse)
+	for _, g := range a.coarseOther {
+		coarse = append(coarse, g)
+	}
 	var tot estTotals
-	rep.BySite, tot = finalize(a.coarse, a.opts, a.sampled)
-	rep.ByNestedSite, _ = finalize(a.fine, a.opts, a.sampled)
+	rep.BySite, tot = finalize(coarse, a.opts, a.sampled)
+	rep.ByNestedSite, _ = finalize(nonNil(a.fine), a.opts, a.sampled)
 	if a.sampled {
 		// Every reported record lands in exactly one coarse group, so the
 		// coarse totals are the program-wide estimates; summing per-group
@@ -379,6 +547,16 @@ func (a *aggregator) report() *Report {
 		rep.EstTotalDragCI = ci95(tot.varSum)
 	}
 	return &rep
+}
+
+func nonNil(gs []*groupAcc) []*groupAcc {
+	out := make([]*groupAcc, 0, len(gs))
+	for _, g := range gs {
+		if g != nil {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // estSample is one sampled record's Horvitz-Thompson terms. The slices of
@@ -396,20 +574,24 @@ type groupAcc struct {
 	g         Group
 	dragTimes []float64
 	samples   []estSample // sampled profiles only; record order
-	lastUse   map[string]*PairGroup
+	// lastUse holds the last-use partitions by suffix index in the owning
+	// aggregator's key table.
+	lastUse map[int32]*PairGroup
 }
 
-func accumulate(m map[string]*groupAcc, key, desc string, siteID int32, r *profile.Record, neverUsed bool, sampled bool, est estSample, p *profile.Profile, opts Options) {
-	acc, ok := m[key]
-	if !ok {
-		acc = &groupAcc{
-			g:       Group{Key: key, SiteID: siteID, Desc: desc},
-			lastUse: make(map[string]*PairGroup),
-		}
-		m[key] = acc
+func newGroupAcc(key string, siteID int32, desc string) *groupAcc {
+	return &groupAcc{
+		g:       Group{Key: key, SiteID: siteID, Desc: desc},
+		lastUse: make(map[int32]*PairGroup),
 	}
-	if sampled {
-		acc.samples = append(acc.samples, est)
+}
+
+// accumulate folds one record into a group: the integer sums, the
+// record-ordered drag-time sequence, the lifetime histograms and, for
+// sampled profiles (est non-nil), the record's Horvitz-Thompson terms.
+func accumulate(acc *groupAcc, r *profile.Record, neverUsed bool, est *estSample, window int64) {
+	if est != nil {
+		acc.samples = append(acc.samples, *est)
 	}
 	g := &acc.g
 	g.Count++
@@ -423,22 +605,8 @@ func accumulate(m map[string]*groupAcc, key, desc string, siteID int32, r *profi
 	if r.DragTime() > 0 {
 		acc.dragTimes = append(acc.dragTimes, float64(r.DragTime()))
 	}
-	g.DragHist.Add(r.DragTime(), opts.NeverUsedWindow)
-	g.InUseHist.Add(r.InUseTime(), opts.NeverUsedWindow)
-
-	luKey := "<never used>"
-	luDesc := "<never used>"
-	if r.Used() {
-		luKey = p.ChainSuffixKey(r.LastUseChain, opts.NestDepth)
-		luDesc = p.ChainDesc(r.LastUseChain, opts.NestDepth)
-	}
-	pg, ok := acc.lastUse[luKey]
-	if !ok {
-		pg = &PairGroup{LastUseDesc: luDesc}
-		acc.lastUse[luKey] = pg
-	}
-	pg.Count++
-	pg.Drag += r.Drag()
+	g.DragHist.Add(r.DragTime(), window)
+	g.InUseHist.Add(r.InUseTime(), window)
 }
 
 // estTotals accumulates the groups' Horvitz-Thompson sums.
@@ -449,10 +617,10 @@ type estTotals struct {
 // ci95 is the 95% confidence half-width for a variance estimate.
 func ci95(varSum float64) float64 { return 1.96 * math.Sqrt(varSum) }
 
-func finalize(m map[string]*groupAcc, opts Options, sampled bool) ([]*Group, estTotals) {
+func finalize(accs []*groupAcc, opts Options, sampled bool) ([]*Group, estTotals) {
 	var tot estTotals
-	out := make([]*Group, 0, len(m))
-	for _, acc := range m {
+	out := make([]*Group, 0, len(accs))
+	for _, acc := range accs {
 		g := &acc.g
 		g.MeanDragTime, g.StdDragTime = meanStd(acc.dragTimes)
 		g.Pattern = classify(g, opts)
@@ -472,20 +640,22 @@ func finalize(m map[string]*groupAcc, opts Options, sampled bool) ([]*Group, est
 			g.EstDrag, g.EstDragCI = drag, ci95(varSum)
 			g.estVar = varSum
 		}
-		pairs := make([]PairGroup, 0, len(acc.lastUse))
-		for _, pg := range acc.lastUse {
-			pairs = append(pairs, *pg)
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Drag != pairs[j].Drag {
-				return pairs[i].Drag > pairs[j].Drag
+		if len(acc.lastUse) > 0 {
+			pairs := make([]PairGroup, 0, len(acc.lastUse))
+			for _, pg := range acc.lastUse {
+				pairs = append(pairs, *pg)
 			}
-			return pairs[i].LastUseDesc < pairs[j].LastUseDesc
-		})
-		if len(pairs) > opts.TopLastUse {
-			pairs = pairs[:opts.TopLastUse]
+			sort.Slice(pairs, func(i, j int) bool {
+				if pairs[i].Drag != pairs[j].Drag {
+					return pairs[i].Drag > pairs[j].Drag
+				}
+				return pairs[i].LastUseDesc < pairs[j].LastUseDesc
+			})
+			if len(pairs) > opts.TopLastUse {
+				pairs = pairs[:opts.TopLastUse]
+			}
+			g.LastUse = pairs
 		}
-		g.LastUse = pairs
 		out = append(out, g)
 	}
 	sort.Slice(out, func(i, j int) bool {
