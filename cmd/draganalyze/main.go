@@ -28,6 +28,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -111,15 +112,9 @@ func run() int {
 			if err != nil {
 				return fail(err)
 			}
-			if ra, rb := prof.EffectiveSampleRate(), next.EffectiveSampleRate(); ra != rb {
-				fmt.Fprintf(os.Stderr, "draganalyze: cannot aggregate %s (sample rate %g) with %s (sample rate %g): mixing sampled and exact logs scales sites incomparably — re-profile at one rate\n",
-					flag.Arg(0), ra, arg, rb)
-				return cli.ExitUsage
-			}
-			if len(prof.Sites) != len(next.Sites) || len(prof.ChainNodes) != len(next.ChainNodes) {
-				fmt.Fprintf(os.Stderr, "draganalyze: cannot aggregate %s with %s: site tables differ (logs come from different builds)\n",
-					flag.Arg(0), arg)
-				return cli.ExitFailure
+			if code, msg := checkAggregate(flag.Arg(0), prof, arg, next); code != cli.ExitOK {
+				fmt.Fprintln(os.Stderr, "draganalyze:", msg)
+				return code
 			}
 			nextAcc := drag.NewAccumulator(next, opts)
 			for _, r := range next.Records {
@@ -218,6 +213,24 @@ func readLogFile(path string) (*profile.Profile, error) {
 	}
 	defer f.Close()
 	return profile.ReadLog(f)
+}
+
+// checkAggregate applies drag.CheckMergeable to a further log of a
+// multi-log aggregation and returns the exit code and message for a
+// refusal: mixed sample rates are a usage error, different site tables a
+// failure. Chain tables may differ (two sampled runs of one build intern
+// different chains).
+func checkAggregate(first string, p *profile.Profile, arg string, next *profile.Profile) (int, string) {
+	err := drag.CheckMergeable(p, next)
+	switch {
+	case err == nil:
+		return cli.ExitOK, ""
+	case errors.Is(err, drag.ErrRateMismatch):
+		return cli.ExitUsage, fmt.Sprintf("cannot aggregate %s (sample rate %g) with %s (sample rate %g): mixing sampled and exact logs scales sites incomparably — re-profile at one rate",
+			first, p.EffectiveSampleRate(), arg, next.EffectiveSampleRate())
+	default:
+		return cli.ExitFailure, fmt.Sprintf("cannot aggregate %s with %s: site tables differ (logs come from different builds)", first, arg)
+	}
 }
 
 func mb2(v int64) float64 { return float64(v) / (1 << 40) }

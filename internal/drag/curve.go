@@ -158,8 +158,8 @@ func (d SiteDelta) Status() string {
 // live on different estimator scales (exact sums vs Horvitz–Thompson
 // estimates at distinct inclusion probabilities), so a delta between them
 // is statistically meaningless. Callers surface it as a client error
-// (dragserved answers 422), mirroring the checkMergeable guard the store
-// applies to cross-run aggregation.
+// (dragserved answers 422), mirroring the CheckMergeable guard on
+// cross-run aggregation.
 var ErrRateMismatch = errors.New("drag: sample-rate mismatch")
 
 // CompareChecked is Compare with the cross-rate guard: it rejects report

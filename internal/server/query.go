@@ -261,7 +261,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A sampled run diffed against an exact one (or two distinct
 		// rates): the deltas would mix estimator scales. Client error,
-		// mirroring the store's checkMergeable guard.
+		// mirroring drag.CheckMergeable's guard on cross-run merges.
 		if errors.Is(err, drag.ErrRateMismatch) {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return

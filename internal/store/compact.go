@@ -183,7 +183,7 @@ func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, erro
 			base, acc = p, runAcc
 			continue
 		}
-		if err := checkMergeable(base, p); err != nil {
+		if err := drag.CheckMergeable(base, p); err != nil {
 			return nil, fmt.Errorf("store: run %s: %w", id, err)
 		}
 		acc.Merge(runAcc)
@@ -208,27 +208,6 @@ func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, erro
 		})
 	}
 	return ws, nil
-}
-
-// checkMergeable guards the cross-run merge. Coarse groups key on the
-// site index, so folding two runs into one accumulator is only meaningful
-// when their site tables agree — which they do for repeated runs of the
-// same build. Fine and last-use groups key on chain content (method,
-// line), not chain ids, so chain tables may differ: a sampled run interns
-// only the chains of the objects it sampled. Mismatched site tables (same
-// workload name, different build) are rejected rather than silently
-// mis-merged.
-func checkMergeable(a, b *profile.Profile) error {
-	if len(a.Sites) != len(b.Sites) {
-		return fmt.Errorf("incompatible site tables (%d/%d sites): runs come from different builds",
-			len(a.Sites), len(b.Sites))
-	}
-	// Sampled and exact runs (or two different rates) scale their estimates
-	// differently; folding them into one accumulator would mix estimators.
-	if ra, rb := a.EffectiveSampleRate(), b.EffectiveSampleRate(); ra != rb {
-		return fmt.Errorf("incompatible sample rates (%g vs %g): sampled and exact runs cannot be merged", ra, rb)
-	}
-	return nil
 }
 
 // SiteSummaries returns the compacted cross-run site summaries for every
