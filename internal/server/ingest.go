@@ -59,17 +59,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, IngestResponse{Error: "store is recovering"})
 		return
 	}
-	// Register with the drain barrier before checking the flag: either
-	// BeginDrain's Wait sees this request, or this request sees the
-	// draining flag — a late upload can never slip past the drain.
-	s.ingestWG.Add(1)
-	defer s.ingestWG.Done()
-	if s.draining.Load() {
+	// Either BeginDrain's Wait sees this request, or this request sees
+	// the draining flag — a late upload can never slip past the drain.
+	if !s.admitIngest() {
 		s.metrics.ingestDrained.Add(1)
 		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusServiceUnavailable, IngestResponse{Error: "server is draining"})
 		return
 	}
+	defer s.ingestWG.Done()
 	select {
 	case tn.inflight <- struct{}{}:
 		defer func() { <-tn.inflight }()

@@ -94,7 +94,10 @@ type Server struct {
 	// better or worse); per-tenant failures live on the tenants.
 	readyCh chan struct{}
 	// draining flips once shutdown begins; ingestWG counts in-flight
-	// ingest requests so drain can wait them out.
+	// ingest requests so drain can wait them out. drainMu orders the two:
+	// admitIngest adds to ingestWG and BeginDrain flips draining under it,
+	// so no Add can run once BeginDrain is in Wait.
+	drainMu  sync.Mutex
 	draining atomic.Bool
 	ingestWG sync.WaitGroup
 
@@ -309,12 +312,26 @@ func (s *Server) TenantStore(name string) store.RunStore {
 // pinning the listener's graceful shutdown forever.
 func (s *Server) BeginDrain() {
 	s.drainOnce.Do(func() {
+		s.drainMu.Lock()
 		s.draining.Store(true)
+		s.drainMu.Unlock()
 		s.ingestWG.Wait()
 		for _, tn := range s.tenants {
 			tn.events.Close()
 		}
 	})
+}
+
+// admitIngest registers an upload with the drain barrier unless the
+// server is draining; an admitted upload must call ingestWG.Done.
+func (s *Server) admitIngest() bool {
+	s.drainMu.Lock()
+	defer s.drainMu.Unlock()
+	if s.draining.Load() {
+		return false
+	}
+	s.ingestWG.Add(1)
+	return true
 }
 
 // Close shuts the service down in dependency order: drain in-flight
