@@ -330,29 +330,39 @@ func (s *Store) quarantineFileLocked(dir, name, runID, reason string) error {
 	return nil
 }
 
-// loadQuarantineLocked reads the reason records of previous scans.
+// loadQuarantineLocked reads the reason records of previous scans: the
+// root quarantine/ and, for stores written when each shard kept its own,
+// every shards/NNN/quarantine/.
 func (s *Store) loadQuarantineLocked() error {
-	ents, err := os.ReadDir(s.QuarantineDir())
+	dirs := []string{s.QuarantineDir()}
+	old, err := filepath.Glob(filepath.Join(s.root, "shards", "*", "quarantine"))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	names := make([]string, 0, len(ents))
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), ".reason.json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(s.QuarantineDir(), name))
+	sort.Strings(old)
+	for _, dir := range append(dirs, old...) {
+		ents, err := os.ReadDir(dir)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		var q QuarantineReason
-		if err := json.Unmarshal(data, &q); err != nil {
-			continue // a torn reason file never blocks recovery
+		names := make([]string, 0, len(ents))
+		for _, e := range ents {
+			if strings.HasSuffix(e.Name(), ".reason.json") {
+				names = append(names, e.Name())
+			}
 		}
-		s.quarantined = append(s.quarantined, q)
+		sort.Strings(names)
+		for _, name := range names {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			var q QuarantineReason
+			if err := json.Unmarshal(data, &q); err != nil {
+				continue // a torn reason file never blocks recovery
+			}
+			s.quarantined = append(s.quarantined, q)
+		}
 	}
 	return nil
 }

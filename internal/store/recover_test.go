@@ -312,3 +312,72 @@ func TestCommitFailureLeavesNoDebris(t *testing.T) {
 		}
 	}
 }
+
+// A workload whose every run was quarantined must stop serving its old
+// compacted summary: Open marks it dirty, and the recompaction over no
+// runs leaves it without sites.
+func TestRecoveryDropsSummaryOfFullyQuarantinedWorkload(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ingestOne(t, st, "alpha", 600, 1)
+	sites, err := st.SiteSummaries(2)
+	if err != nil || len(sites) == 0 {
+		t.Fatalf("seed summary: %d sites, err %v", len(sites), err)
+	}
+
+	logPath := filepath.Join(dir, "shards", "000", "runs", id+".log")
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(logPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st2.NumRuns(); n != 0 {
+		t.Fatalf("%d runs after quarantining the only one", n)
+	}
+	sites, err = st2.SiteSummaries(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sites) != 0 {
+		t.Fatalf("still serving %d sites of a workload with no runs", len(sites))
+	}
+}
+
+// Quarantine records that stores written with per-shard quarantine
+// directories left under shards/NNN/quarantine/ are still listed.
+func TestQuarantineListsShardDirectoryRecords(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := OpenSharded(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	qdir := filepath.Join(dir, "shards", "001", "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(QuarantineReason{File: "runs/abc.log", Reason: "torn run log", RunID: "abc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(qdir, "abc.log.reason.json"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenSharded(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reasons := quarantineReasons(t, st)
+	if r := reasons["abc.log"]; r != "torn run log" {
+		t.Fatalf("shard quarantine record not listed: have %v", reasons)
+	}
+}

@@ -260,12 +260,17 @@ func OpenShardedFS(dir string, n int, fsys FS) (*Store, error) {
 		return nil, err
 	}
 	// Any workload whose compacted summary is missing or no longer covers
-	// its run set needs recompaction.
+	// its run set needs recompaction — including a workload whose runs
+	// were all quarantined, whose old summary would otherwise go on
+	// being served.
 	names := make(map[string]bool)
 	for _, sh := range s.shards {
 		for _, m := range sh.runs {
 			names[m.Name] = true
 		}
+	}
+	for name := range s.compacted {
+		names[name] = true
 	}
 	for name := range names {
 		sum := s.compacted[name]
