@@ -55,10 +55,7 @@ func AnchorGroups(p *profile.Profile, opts Options) []*Group {
 	opts = opts.withDefaults(p)
 	type key struct{ method, line int32 }
 	accs := make(map[key]*groupAcc)
-	for _, r := range p.Records {
-		if r.Interned {
-			continue
-		}
+	for _, r := range p.Reported() {
 		m, l, ok := AnchorNode(p, r.Chain, nil)
 		if !ok {
 			continue

@@ -162,3 +162,34 @@ func TestAnalyzeLogPropagatesDecodeErrors(t *testing.T) {
 		t.Error("corrupt log analyzed without error")
 	}
 }
+
+// TestOutOfTableIDs: site and chain ids outside the profile's tables
+// (possible only in damaged or hand-made logs) group as "<none>" sites and
+// "<top>" chains, and the parallel merge still matches the serial pass.
+func TestOutOfTableIDs(t *testing.T) {
+	p := syntheticProfile(20000)
+	for i, r := range p.Records {
+		switch i % 7 {
+		case 0:
+			r.Site = 99
+		case 1:
+			r.Site = -3
+			r.Chain = 77
+		case 2:
+			r.LastUseChain = 55
+		}
+	}
+	serial := Analyze(p, Options{})
+	if got := AnalyzeParallel(p, Options{}, 4).CanonicalDump(); !bytes.Equal(serial.CanonicalDump(), got) {
+		t.Fatal("parallel report differs from serial with out-of-table ids")
+	}
+	found := map[string]string{}
+	for _, g := range append(serial.BySite, serial.ByNestedSite...) {
+		found[g.Key] = g.Desc
+	}
+	for key, desc := range map[string]string{"site:99": "<none>", "site:-3": "<none>", "chain:": "<top>"} {
+		if found[key] != desc {
+			t.Errorf("group %q: desc %q, want %q", key, found[key], desc)
+		}
+	}
+}
