@@ -14,14 +14,14 @@ import (
 // byte-for-byte on site reports, curves and integrals — the classic
 // correctness argument for swapping a profiler's recording format.
 
-// diffProfiles caches one profiled run per workload for the differential
-// tests (the runs themselves are covered elsewhere).
-var diffProfiles = map[string]*profile.Profile{}
+// diffResults caches one profiled run per workload for the differential
+// and golden tests (the runs themselves are covered elsewhere).
+var diffResults = map[string]*RunResult{}
 
-func diffProfile(t *testing.T, name string) *profile.Profile {
+func diffResult(t testing.TB, name string) *RunResult {
 	t.Helper()
-	if p, ok := diffProfiles[name]; ok {
-		return p
+	if r, ok := diffResults[name]; ok {
+		return r
 	}
 	b, err := ByName(name)
 	if err != nil {
@@ -31,8 +31,13 @@ func diffProfile(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffProfiles[name] = r.Profile
-	return r.Profile
+	diffResults[name] = r
+	return r
+}
+
+func diffProfile(t *testing.T, name string) *profile.Profile {
+	t.Helper()
+	return diffResult(t, name).Profile
 }
 
 func TestDifferentialPipelines(t *testing.T) {

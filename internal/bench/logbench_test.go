@@ -16,19 +16,7 @@ import (
 
 func benchProfile(b *testing.B) *profile.Profile {
 	b.Helper()
-	if p, ok := diffProfiles["jack"]; ok {
-		return p
-	}
-	bm, err := ByName("jack")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := Run(bm, Original, OriginalInput, RunConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	diffProfiles["jack"] = r.Profile
-	return r.Profile
+	return diffResult(b, "jack").Profile
 }
 
 func BenchmarkLogWrite(b *testing.B) {
