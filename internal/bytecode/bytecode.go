@@ -168,7 +168,7 @@ var opNames = [...]string{
 	CmpGT: "cmpgt", CmpGE: "cmpge", RefEQ: "refeq", RefNE: "refne",
 	Not: "not", Dup: "dup", Pop: "pop", Swap: "swap",
 	Throw: "throw", MonitorEnter: "monitorenter", MonitorExit: "monitorexit",
-	CheckCast: "checkcast",
+	CheckCast:       "checkcast",
 	RegionNewObject: "region.new", RegionNewArray: "region.newarray",
 }
 

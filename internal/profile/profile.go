@@ -109,7 +109,8 @@ type Recorder struct {
 	done []*Record
 }
 
-// NewRecorder returns an empty recorder. Attach it to a VM with Attach.
+// NewRecorder returns an empty recorder. Run installs it as the VM's
+// listener and the heap's free listener.
 func NewRecorder() *Recorder {
 	return &Recorder{live: make(map[heap.Handle]*Record)}
 }

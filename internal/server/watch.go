@@ -22,13 +22,13 @@ type (
 	// RunEvent is the "run-ingested" payload: one stored run and its
 	// per-site drag deltas.
 	RunEvent struct {
-		Tenant    string          `json:"tenant"`
-		Run       string          `json:"run"`
-		Workload  string          `json:"workload"`
-		Salvaged  bool            `json:"salvaged,omitempty"`
-		Bytes     int64           `json:"bytes"`
-		TotalDrag int64           `json:"totalDrag"`
-		Sites     []SiteDeltaSSE  `json:"sites"`
+		Tenant    string         `json:"tenant"`
+		Run       string         `json:"run"`
+		Workload  string         `json:"workload"`
+		Salvaged  bool           `json:"salvaged,omitempty"`
+		Bytes     int64          `json:"bytes"`
+		TotalDrag int64          `json:"totalDrag"`
+		Sites     []SiteDeltaSSE `json:"sites"`
 	}
 	// SiteDeltaSSE is one allocation site's contribution in a RunEvent.
 	SiteDeltaSSE struct {
