@@ -105,14 +105,28 @@ func (r *Record) LifeTime() int64 {
 // Recorder implements vm.Listener and observes heap reclamation; it is the
 // instrumented JVM's trailer machinery.
 type Recorder struct {
-	live map[heap.Handle]*Record
+	// live holds the trailer of each recorded object still in the heap,
+	// indexed by its handle. Handles are dense and recycled, so live is
+	// never longer than the heap's handle table; a recycled handle's stale
+	// entry is told apart by its AllocID.
+	live []*Record
 	done []*Record
 }
 
 // NewRecorder returns an empty recorder. Run installs it as the VM's
 // listener and the heap's free listener.
-func NewRecorder() *Recorder {
-	return &Recorder{live: make(map[heap.Handle]*Record)}
+func NewRecorder() *Recorder { return &Recorder{} }
+
+// lookup returns the live trailer of the object o behind h, or nil.
+func (r *Recorder) lookup(h heap.Handle, o *heap.Object) *Record {
+	if int(h) >= len(r.live) {
+		return nil
+	}
+	rec := r.live[h]
+	if rec == nil || rec.AllocID != o.AllocID {
+		return nil
+	}
+	return rec
 }
 
 // Alloc implements vm.Listener.
@@ -129,13 +143,16 @@ func (r *Recorder) Alloc(h heap.Handle, o *heap.Object, site int32, chain int32,
 		LastUseChain: -1,
 		Interned:     o.Interned,
 	}
+	if int(h) >= len(r.live) {
+		r.live = append(r.live, make([]*Record, int(h)+1-len(r.live))...)
+	}
 	r.live[h] = rec
 }
 
 // Use implements vm.Listener.
 func (r *Recorder) Use(h heap.Handle, o *heap.Object, chain int32, clock int64, kind vm.UseKind) {
-	rec, ok := r.live[h]
-	if !ok || rec.AllocID != o.AllocID {
+	rec := r.lookup(h, o)
+	if rec == nil {
 		return
 	}
 	// Interning may be flagged after allocation (string literals).
@@ -150,11 +167,11 @@ func (r *Recorder) Use(h heap.Handle, o *heap.Object, chain int32, clock int64, 
 // collection time.
 func (r *Recorder) freeListener(clock func() int64) heap.FreeListener {
 	return func(h heap.Handle, o *heap.Object) {
-		rec, ok := r.live[h]
-		if !ok || rec.AllocID != o.AllocID {
+		rec := r.lookup(h, o)
+		if rec == nil {
 			return
 		}
-		delete(r.live, h)
+		r.live[h] = nil
 		rec.Interned = rec.Interned || o.Interned
 		rec.Collect = clock()
 		r.done = append(r.done, rec)
@@ -164,12 +181,15 @@ func (r *Recorder) freeListener(clock func() int64) heap.FreeListener {
 // Finish logs every object still live at termination (the paper performs a
 // final deep GC first, then logs survivors with the final clock).
 func (r *Recorder) Finish(clock int64) {
-	for h, rec := range r.live {
+	for _, rec := range r.live {
+		if rec == nil {
+			continue
+		}
 		rec.Collect = clock
 		rec.AtExit = true
 		r.done = append(r.done, rec)
-		delete(r.live, h)
 	}
+	r.live = nil
 }
 
 // Records returns the logged trailers in allocation order.

@@ -73,26 +73,69 @@ type ChainNode struct {
 // ChainTable interns call-site chains as a trie, so a chain is identified by
 // a single int32. The VM extends the current frame's chain by one node per
 // call, allocation, or use event.
+//
+// Ids are dense and assigned in first-seen order; the index is an
+// open-addressed table probed linearly, so a hit costs one integer mix and
+// a compare, and only a new node appends.
 type ChainTable struct {
 	nodes []ChainNode
-	index map[ChainNode]int32
+	// slots holds id+1 per occupied slot, 0 when empty. Its length is a
+	// power of two at least twice len(nodes).
+	slots []int32
 }
+
+// chainMinSlots is the index size of an empty table.
+const chainMinSlots = 64
 
 // NewChainTable returns an empty chain table.
 func NewChainTable() *ChainTable {
-	return &ChainTable{index: make(map[ChainNode]int32)}
+	return &ChainTable{slots: make([]int32, chainMinSlots)}
+}
+
+// chainHash mixes a node's three fields into a slot hash (the 64-bit
+// finalizer of MurmurHash3 over the packed key).
+func chainHash(parent, method, line int32) uint64 {
+	k := uint64(uint32(parent)) | uint64(uint32(method))<<32
+	k ^= uint64(uint32(line)) * 0x9E3779B97F4A7C15
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }
 
 // Intern returns the id of parent extended with (method, line).
 func (t *ChainTable) Intern(parent, method, line int32) int32 {
-	n := ChainNode{Parent: parent, Method: method, Line: line}
-	if id, ok := t.index[n]; ok {
-		return id
+	mask := uint64(len(t.slots) - 1)
+	for i := chainHash(parent, method, line) & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s == 0 {
+			id := int32(len(t.nodes))
+			t.nodes = append(t.nodes, ChainNode{Parent: parent, Method: method, Line: line})
+			t.slots[i] = id + 1
+			if 2*len(t.nodes) > len(t.slots) {
+				t.grow()
+			}
+			return id
+		}
+		if n := &t.nodes[s-1]; n.Parent == parent && n.Method == method && n.Line == line {
+			return s - 1
+		}
 	}
-	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, n)
-	t.index[n] = id
-	return id
+}
+
+// grow doubles the index and reinserts every node.
+func (t *ChainTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for id, n := range t.nodes {
+		i := chainHash(n.Parent, n.Method, n.Line) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id) + 1
+	}
 }
 
 // Node returns the chain node for id.

@@ -1,6 +1,8 @@
 package vm_test
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -209,3 +211,61 @@ func (g *chainGrabber) Alloc(h heap.Handle, o *heap.Object, site int32, chain in
 }
 
 func (g *chainGrabber) Use(heap.Handle, *heap.Object, int32, int64, vm.UseKind) {}
+
+func TestChainTableInternMatchesMap(t *testing.T) {
+	// Differential check of the open-addressed index against the map it
+	// replaced: the same triples in the same order must get the same ids,
+	// dense and in first-seen order, across many index growths. Parents
+	// include negative values and lines reach the int32 extremes, so every
+	// bit of the packed key matters to the hash.
+	ct := vm.NewChainTable()
+	ref := map[vm.ChainNode]int32{}
+	var order []vm.ChainNode
+	rng := rand.New(rand.NewSource(1))
+	pick := func() vm.ChainNode {
+		n := vm.ChainNode{Method: rng.Int31n(40), Line: rng.Int31n(200)}
+		switch rng.Intn(6) {
+		case 0:
+			n.Parent = -1
+		case 1:
+			n.Parent = -1 - rng.Int31n(1000)
+		case 2:
+			n.Parent = math.MinInt32 + rng.Int31n(4)
+		default:
+			n.Parent = rng.Int31n(int32(len(order) + 1))
+		}
+		switch rng.Intn(8) {
+		case 0:
+			n.Line = math.MaxInt32 - rng.Int31n(4)
+		case 1:
+			n.Line = 1 << (16 + rng.Intn(15))
+		}
+		if len(order) > 0 && rng.Intn(3) == 0 {
+			n = order[rng.Intn(len(order))] // a repeat: must hit
+		}
+		return n
+	}
+	for i := 0; i < 40000; i++ {
+		n := pick()
+		want, seen := ref[n]
+		if !seen {
+			want = int32(len(order))
+			ref[n] = want
+			order = append(order, n)
+		}
+		if got := ct.Intern(n.Parent, n.Method, n.Line); got != want {
+			t.Fatalf("step %d: Intern(%+v) = %d, want %d (seen before: %v)", i, n, got, want, seen)
+		}
+	}
+	if len(order) < 10000 {
+		t.Fatalf("only %d distinct triples; the test must cross several index growths", len(order))
+	}
+	if ct.Len() != len(order) {
+		t.Fatalf("table holds %d nodes, reference %d", ct.Len(), len(order))
+	}
+	for id, n := range ct.Nodes() {
+		if n != order[id] {
+			t.Fatalf("node %d = %+v, want %+v", id, n, order[id])
+		}
+	}
+}

@@ -143,7 +143,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 	case bytecode.InvokeStatic:
 		m := vm.prog.Methods[in.A]
 		args := vm.popArgs(f, m.NumParams)
-		chain := vm.chains.Intern(f.chain, f.m.ID, in.Line)
+		chain := vm.chainAt(f, in.Line)
 		vm.pushFrame(m, args, chain)
 	case bytecode.InvokeSpecial:
 		m := vm.prog.Methods[in.A]
@@ -154,7 +154,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 			return
 		}
 		vm.emitUse(recv.H, o, UseInvoke, in.Line)
-		chain := vm.chains.Intern(f.chain, f.m.ID, in.Line)
+		chain := vm.chainAt(f, in.Line)
 		vm.pushFrame(m, args, chain)
 	case bytecode.CallBuiltin:
 		vm.callBuiltin(f, bytecode.Builtin(in.A), in.Line)
@@ -305,12 +305,13 @@ func (vm *VM) deref(v heap.Value, what string) *heap.Object {
 	return vm.hp.Get(v.H)
 }
 
-// popArgs pops n arguments pushed left-to-right.
+// popArgs pops n arguments pushed left-to-right. The result aliases f's
+// stack past its new top, so it is valid only until f is pushed to again;
+// pushFrame copies it first.
 func (vm *VM) popArgs(f *frame, n int) []heap.Value {
-	args := make([]heap.Value, n)
-	for i := n - 1; i >= 0; i-- {
-		args[i] = f.pop()
-	}
+	base := len(f.stack) - n
+	args := f.stack[base:]
+	f.stack = f.stack[:base]
 	return args
 }
 
@@ -332,7 +333,7 @@ func (vm *VM) invokeVirtual(f *frame, in bytecode.Instr) {
 			m = vm.prog.Methods[dyn.VTable[in.A]]
 		}
 	}
-	chain := vm.chains.Intern(f.chain, f.m.ID, in.Line)
+	chain := vm.chainAt(f, in.Line)
 	vm.pushFrame(m, args, chain)
 }
 

@@ -114,11 +114,27 @@ type frame struct {
 	locals []heap.Value
 	stack  []heap.Value
 	chain  int32
+	// memoLine and memoChain cache the last chain this frame interned:
+	// chain extended by (m.ID, memoLine). The frame's chain and method
+	// never change, so the memo is exact; memoChain < 0 means empty.
+	memoLine  int32
+	memoChain int32
 	// region lists this frame's escape-proved allocations
 	// (RegionNewObject/RegionNewArray); they are freed wholesale when the
 	// frame exits. The list is deliberately NOT a GC root: if the
 	// collector frees an entry first, the AllocID guard skips it.
 	region []regionEntry
+}
+
+// chainAt returns the id of f's chain extended by (f.m.ID, line), the
+// nested site of a call, allocation or use at that line.
+func (vm *VM) chainAt(f *frame, line int32) int32 {
+	if f.memoChain >= 0 && f.memoLine == line {
+		return f.memoChain
+	}
+	c := vm.chains.Intern(f.chain, f.m.ID, line)
+	f.memoLine, f.memoChain = line, c
+	return c
 }
 
 func (f *frame) push(v heap.Value) { f.stack = append(f.stack, v) }
@@ -136,6 +152,9 @@ type VM struct {
 	col  gc.Collector
 	bar  gc.Barrier
 
+	// frames is the call stack. Entries past len(frames) are popped
+	// frames kept for reuse, so a call allocates nothing once the stack
+	// has been that deep before.
 	frames  []*frame
 	statics [][]heap.Value
 
@@ -366,14 +385,30 @@ func (vm *VM) callSync(m *bytecode.Method, args []heap.Value, chain int32) (heap
 	return res, nil
 }
 
+// pushFrame pushes a frame for m whose first locals are args. args may
+// alias the caller's operand stack: it is copied before anything else runs.
 func (vm *VM) pushFrame(m *bytecode.Method, args []heap.Value, chain int32) {
-	f := &frame{
-		m:      m,
-		locals: make([]heap.Value, m.MaxLocals),
-		chain:  chain,
+	n := len(vm.frames)
+	if n < cap(vm.frames) {
+		vm.frames = vm.frames[:n+1]
+	} else {
+		vm.frames = append(vm.frames, nil)
+	}
+	f := vm.frames[n]
+	if f == nil {
+		f = &frame{}
+		vm.frames[n] = f
+	}
+	if cap(f.locals) >= m.MaxLocals {
+		f.locals = f.locals[:m.MaxLocals]
+		clear(f.locals)
+	} else {
+		f.locals = make([]heap.Value, m.MaxLocals)
 	}
 	copy(f.locals, args)
-	vm.frames = append(vm.frames, f)
+	f.stack = f.stack[:0]
+	f.m, f.pc, f.lastpc = m, 0, 0
+	f.chain, f.memoChain = chain, -1
 }
 
 func (vm *VM) top() *frame { return vm.frames[len(vm.frames)-1] }
@@ -394,7 +429,8 @@ func (vm *VM) noteRegion(f *frame, h heap.Handle) {
 
 // popFrame discards the top frame and reclaims its region wholesale, in
 // reverse allocation order. Every frame exit — normal return or exception
-// unwinding — funnels through here.
+// unwinding — funnels through here. The frame itself stays in vm.frames'
+// spare capacity for the next push.
 func (vm *VM) popFrame() {
 	f := vm.frames[len(vm.frames)-1]
 	vm.frames = vm.frames[:len(vm.frames)-1]
@@ -575,18 +611,10 @@ func (vm *VM) noteAlloc(h heap.Handle, site int32, interned bool) {
 		chain := int32(-1)
 		if len(vm.frames) > 0 {
 			f := vm.top()
-			chain = vm.chains.Intern(f.chain, f.m.ID, vm.curLine())
+			chain = vm.chainAt(f, f.m.Code[f.lastpc].Line)
 		}
 		vm.listener.Alloc(h, o, site, chain, vm.hp.Clock())
 	}
-}
-
-func (vm *VM) curLine() int32 {
-	if len(vm.frames) == 0 {
-		return 0
-	}
-	f := vm.top()
-	return f.m.Code[f.lastpc].Line
 }
 
 func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
@@ -605,7 +633,7 @@ func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
 	chain := int32(-1)
 	if len(vm.frames) > 0 {
 		f := vm.top()
-		chain = vm.chains.Intern(f.chain, f.m.ID, vm.curLine())
+		chain = vm.chainAt(f, f.m.Code[f.lastpc].Line)
 	}
 	vm.listener.Use(h, o, chain, vm.hp.Clock(), kind)
 }
