@@ -608,12 +608,7 @@ func (vm *VM) noteAlloc(h heap.Handle, site int32, interned bool) {
 			}
 			o.Sampled = true
 		}
-		chain := int32(-1)
-		if len(vm.frames) > 0 {
-			f := vm.top()
-			chain = vm.chainAt(f, f.m.Code[f.lastpc].Line)
-		}
-		vm.listener.Alloc(h, o, site, chain, vm.hp.Clock())
+		vm.listener.Alloc(h, o, site, vm.curChain(), vm.hp.Clock())
 	}
 }
 
@@ -630,12 +625,17 @@ func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
 	if vm.sampler != nil && !o.Sampled {
 		return
 	}
-	chain := int32(-1)
-	if len(vm.frames) > 0 {
-		f := vm.top()
-		chain = vm.chainAt(f, f.m.Code[f.lastpc].Line)
+	vm.listener.Use(h, o, vm.curChain(), vm.hp.Clock(), kind)
+}
+
+// curChain is the nested site of the instruction the top frame is
+// executing, or -1 (the empty chain) outside any frame.
+func (vm *VM) curChain() int32 {
+	if len(vm.frames) == 0 {
+		return -1
 	}
-	vm.listener.Use(h, o, chain, vm.hp.Clock(), kind)
+	f := vm.top()
+	return vm.chainAt(f, f.m.Code[f.lastpc].Line)
 }
 
 // Exceptions.

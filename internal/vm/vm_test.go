@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dragprof/internal/heap"
 	"dragprof/internal/mj"
 	"dragprof/internal/vm"
 )
@@ -517,5 +518,46 @@ class Main {
 	want := "50\ncfg\n"
 	if out != want {
 		t.Errorf("output = %q, want %q", out, want)
+	}
+}
+
+func TestReusedFrameDropsStaleLocals(t *testing.T) {
+	// a() and b() run in the same frame slot one after the other. b's
+	// local is unassigned when it collects, so the array a() left in the
+	// same local slot must not be a root there.
+	prog, _, err := mj.CompileWithStdlib([]string{"test.mj"}, map[string]string{"test.mj": `
+class Main {
+    static void a() {
+        int[] big = new int[1000];
+        big[0] = 1;
+    }
+    static void b() {
+        gc();
+        int[] small = new int[10];
+        small[0] = 2;
+    }
+    static void main() {
+        a();
+        b();
+    }
+}`})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	m, err := vm.New(prog, vm.Config{})
+	if err != nil {
+		t.Fatalf("vm.New: %v", err)
+	}
+	freed := false
+	m.Heap().SetFreeListener(func(_ heap.Handle, o *heap.Object) {
+		if o.Kind == heap.KindArray && o.Len() == 1000 {
+			freed = true
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !freed {
+		t.Error("a()'s array survived gc() in b(): a reused frame kept a stale local as a root")
 	}
 }
