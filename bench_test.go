@@ -21,10 +21,12 @@ package dragprof_test
 //	BenchmarkAblationLiveRoots   — Agesen-style liveness-filtered GC roots
 
 import (
+	"context"
 	"testing"
 
 	"dragprof/internal/bench"
 	"dragprof/internal/drag"
+	"dragprof/internal/pilot"
 	"dragprof/internal/profile"
 	"dragprof/internal/transform"
 	"dragprof/internal/vm"
@@ -210,8 +212,9 @@ func BenchmarkAblationNestDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAutoVsManual compares the automatic transformer's space
-// saving against the paper-style manual rewrite.
+// BenchmarkAblationAutoVsManual compares the space saving of the rewrite
+// planner, driven by a local dragpilot sweep, against the paper-style
+// manual rewrite.
 func BenchmarkAblationAutoVsManual(b *testing.B) {
 	for _, name := range []string{"raytrace", "jack"} {
 		name := name
@@ -220,26 +223,21 @@ func BenchmarkAblationAutoVsManual(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			prog, err := pilot.Bench(name)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
+				res, err := pilot.Run(context.Background(), pilot.Options{Local: []pilot.Program{prog}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				auto := res.Workloads[0].Local
+
 				orig, err := bench.Run(bm, bench.Original, bench.OriginalInput, bench.RunConfig{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				cp, err := bm.Compile(bench.Original, bench.OriginalInput)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := transform.AutoTransform(cp.Program, orig.Report, 40); err != nil {
-					b.Fatal(err)
-				}
-				prof, _, err := profile.Run(cp.Program, name+"/auto", vm.Config{
-					GCInterval: bench.DefaultGCInterval,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				auto := drag.Compare(orig.Report, drag.Analyze(prof, drag.Options{}))
-
 				rev, err := bench.Run(bm, bench.Revised, bench.OriginalInput, bench.RunConfig{})
 				if err != nil {
 					b.Fatal(err)

@@ -26,9 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"dragprof/internal/bench"
 	"dragprof/internal/bytecode"
@@ -53,7 +51,7 @@ type target struct {
 	compile func() (*bytecode.Program, error)
 }
 
-// outcome is the per-target verification record, also the -bench-json row.
+// outcome is the per-target verification record.
 type outcome struct {
 	Name  string    `json:"name"`
 	Stats opt.Stats `json:"stats"`
@@ -68,13 +66,6 @@ type outcome struct {
 
 	BaseDrag int64 `json:"baseDrag,omitempty"`
 	OptDrag  int64 `json:"optDrag,omitempty"`
-
-	// Perf metrics for the BENCH_<n>.json snapshot (unprofiled runs).
-	BaseOpsPerSec   float64 `json:"baseOpsPerSec"`
-	OptOpsPerSec    float64 `json:"optOpsPerSec"`
-	BaseNsPerAlloc  float64 `json:"baseNsPerAlloc"`
-	OptNsPerAlloc   float64 `json:"optNsPerAlloc"`
-	AnalyzeMBPerSec float64 `json:"analyzeMBPerSec,omitempty"`
 }
 
 func run() int {
@@ -88,7 +79,6 @@ func run() int {
 	interval := flag.Int64("interval", 100<<10, "deep-GC interval in allocated bytes for the drag comparison")
 	requireReduction := flag.Bool("require-reduction", false,
 		"exit with status 8 unless at least one target shows a measured drag reduction; CI gate")
-	benchJSON := flag.String("bench-json", "", "write the perf snapshot (ops/sec, ns/alloc, drag before/after) as JSON")
 	flag.Parse()
 
 	switch *format {
@@ -169,11 +159,6 @@ func run() int {
 	if err := renderEvidence(*format, *outPath, outcomes, diags); err != nil {
 		return fail(err)
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, outcomes); err != nil {
-			return fail(err)
-		}
-	}
 
 	if failed {
 		fmt.Fprintln(os.Stderr, "dragopt: verification failed (see summary above)")
@@ -221,11 +206,11 @@ func optimizeTarget(tg target, passes []string, verify bool, interval int64) (*o
 	if err != nil {
 		return nil, nil, &compileError{fmt.Errorf("%s: %w", tg.name, err)}
 	}
-	baseOut, baseCost, baseDur, err := execute(pBase)
+	baseOut, baseCost, err := execute(pBase)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s baseline run: %w", tg.name, err)
 	}
-	optOut, optCost, optDur, err := execute(pOpt)
+	optOut, optCost, err := execute(pOpt)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s optimized run: %w", tg.name, err)
 	}
@@ -233,10 +218,6 @@ func optimizeTarget(tg target, passes []string, verify bool, interval int64) (*o
 	oc.BaseUnits = baseCost.RuntimeUnits()
 	oc.OptUnits = optCost.RuntimeUnits()
 	oc.RegionFrees = optCost.RegionFrees
-	oc.BaseOpsPerSec = rate(baseCost.Instructions, baseDur)
-	oc.OptOpsPerSec = rate(optCost.Instructions, optDur)
-	oc.BaseNsPerAlloc = per(baseDur.Nanoseconds(), baseCost.Allocations)
-	oc.OptNsPerAlloc = per(optDur.Nanoseconds(), optCost.Allocations)
 
 	// Idempotence: optimizing the optimized program must change nothing.
 	res2, err := opt.Optimize(pOpt, opt.Options{Passes: passes})
@@ -255,9 +236,7 @@ func optimizeTarget(tg target, passes []string, verify bool, interval int64) (*o
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s baseline profile: %w", tg.name, err)
 	}
-	t0 := time.Now()
 	baseRep := drag.Analyze(baseProf, drag.Options{})
-	analyzeDur := time.Since(t0)
 	optProf, _, err := profile.Run(pOpt, tg.name+"/opt", vm.Config{GCInterval: interval})
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s optimized profile: %w", tg.name, err)
@@ -265,36 +244,19 @@ func optimizeTarget(tg target, passes []string, verify bool, interval int64) (*o
 	optRep := drag.Analyze(optProf, drag.Options{})
 	oc.BaseDrag = baseRep.TotalDrag
 	oc.OptDrag = optRep.TotalDrag
-	oc.AnalyzeMBPerSec = rate(baseRep.FinalClock, analyzeDur) / (1 << 20)
 	return oc, diags, nil
 }
 
-// execute runs a program unprofiled and returns its output, cost and wall
-// time.
-func execute(p *bytecode.Program) (string, vm.Cost, time.Duration, error) {
+// execute runs a program unprofiled and returns its output and cost.
+func execute(p *bytecode.Program) (string, vm.Cost, error) {
 	m, err := vm.New(p, vm.Config{})
 	if err != nil {
-		return "", vm.Cost{}, 0, err
+		return "", vm.Cost{}, err
 	}
-	t0 := time.Now()
 	if err := m.Run(); err != nil {
-		return "", vm.Cost{}, 0, err
+		return "", vm.Cost{}, err
 	}
-	return m.Output(), m.CostReport(), time.Since(t0), nil
-}
-
-func rate(n int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(n) / d.Seconds()
-}
-
-func per(total int64, n int64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
+	return m.Output(), m.CostReport(), nil
 }
 
 // renderEvidence writes the per-target summaries plus the action trail.
@@ -366,26 +328,6 @@ func pctDelta(base, opt int64) float64 {
 		return 0
 	}
 	return 100 * float64(opt-base) / float64(base)
-}
-
-// writeBenchJSON emits the BENCH_<n>.json perf snapshot.
-func writeBenchJSON(path string, outcomes []outcome) error {
-	snap := struct {
-		Tool      string    `json:"tool"`
-		Generated string    `json:"generated"`
-		GoVersion string    `json:"goVersion"`
-		Targets   []outcome `json:"targets"`
-	}{
-		Tool:      "dragopt",
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Targets:   outcomes,
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func usage(err error) int {

@@ -1,22 +1,21 @@
-// Autofix: run the profile-guided automatic optimizer (the paper's
-// projected "future optimizing compiler", Section 5) on a benchmark:
-// profile the original, let the static analyses validate and apply the
-// rewrites at the hottest drag sites, then re-profile and compare with the
+// Autofix: run the rewrite planner (the paper's projected "future
+// optimizing compiler", Section 5) on a benchmark through a local
+// dragpilot sweep: profile the original, prove and validate the rewrites
+// at the hottest drag sites, apply them, re-profile, and compare with the
 // paper-style manual rewrite.
 //
 // Run with: go run ./examples/autofix [benchmark]
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"dragprof/internal/bench"
 	"dragprof/internal/drag"
-	"dragprof/internal/profile"
-	"dragprof/internal/transform"
-	"dragprof/internal/vm"
+	"dragprof/internal/pilot"
 )
 
 func main() {
@@ -28,45 +27,34 @@ func main() {
 	if err != nil {
 		log.Fatalf("autofix: %v (known: %v)", err, bench.Names())
 	}
+	prog, err := pilot.Bench(name)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	// Profile the original program.
-	orig, err := bench.Run(b, bench.Original, bench.OriginalInput, bench.RunConfig{})
+	// Profile, prove, rewrite and re-profile in one local sweep.
+	res, err := pilot.Run(context.Background(), pilot.Options{Local: []pilot.Program{prog}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("original:  reachable %.4f MB², in-use %.4f MB²\n",
-		drag.MB2(orig.Report.ReachableIntegral), drag.MB2(orig.Report.InUseIntegral))
-
-	// Apply the automatic transformations to a fresh compile.
-	cp, err := b.Compile(bench.Original, bench.OriginalInput)
-	if err != nil {
-		log.Fatal(err)
-	}
-	actions, err := transform.AutoTransform(cp.Program, orig.Report, 40)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, a := range actions {
+	wr := res.Workloads[0]
+	auto := wr.Local
+	fmt.Printf("original:  reachable %.4f MB², in-use %.4f MB²\n", auto.OriginalReachable, auto.OriginalInUse)
+	for _, a := range wr.Actions {
 		status := "applied"
 		if !a.Applied {
 			status = "rejected: " + a.Reason
 		}
-		fmt.Printf("  [%s] %s at %s (%s)\n", a.Strategy, status, a.SiteDesc, note(a))
+		fmt.Printf("  [%s %s] %s at %s (%s)\n", a.Tier, a.Strategy, status, a.SiteDesc, note(a.Applied, a.Reason))
 	}
+	fmt.Printf("automatic: reachable %.4f MB²  -> space saving %.2f%%, drag saving %.2f%%\n",
+		auto.ReducedReachable, auto.SpaceSavingPct, auto.DragSavingPct)
 
-	// Re-profile the transformed program.
-	prof, _, err := profile.Run(cp.Program, b.Name+"/auto", vm.Config{
-		GCInterval: bench.DefaultGCInterval,
-	})
+	// Compare with the manual (paper-style) rewrite.
+	orig, err := bench.Run(b, bench.Original, bench.OriginalInput, bench.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	auto := drag.Analyze(prof, drag.Options{})
-	autoCmp := drag.Compare(orig.Report, auto)
-	fmt.Printf("automatic: reachable %.4f MB²  -> space saving %.2f%%, drag saving %.2f%%\n",
-		drag.MB2(auto.ReachableIntegral), autoCmp.SpaceSavingPct, autoCmp.DragSavingPct)
-
-	// Compare with the manual (paper-style) rewrite.
 	rev, err := bench.Run(b, bench.Revised, bench.OriginalInput, bench.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
@@ -76,15 +64,15 @@ func main() {
 		drag.MB2(rev.Report.ReachableIntegral), revCmp.SpaceSavingPct, revCmp.DragSavingPct)
 	if revCmp.SpaceSavingPct > 0 {
 		fmt.Printf("automatic rewriting recovered %.0f%% of the manual space saving\n",
-			autoCmp.SpaceSavingPct/revCmp.SpaceSavingPct*100)
+			auto.SpaceSavingPct/revCmp.SpaceSavingPct*100)
 	}
 }
 
-func note(a transform.Action) string {
-	if a.Applied && a.Reason != "" {
-		return a.Reason
-	}
-	if a.Applied {
+func note(applied bool, reason string) string {
+	switch {
+	case applied && reason != "":
+		return reason
+	case applied:
 		return "ok"
 	}
 	return "unchanged"

@@ -26,7 +26,7 @@ import (
 // Verdict statuses.
 const (
 	// VerdictProved: the analyses prove the rewrite sound; it can be
-	// applied with no profile run (StaticTransform will still re-validate
+	// applied with no profile run (transform.Rewrite will still re-validate
 	// before editing bytecode).
 	VerdictProved = "proved"
 	// VerdictPlausible: the analyses support the rewrite but cannot prove

@@ -7,6 +7,7 @@
 package drag
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -95,6 +96,17 @@ func (p Pattern) String() string {
 	default:
 		return "none"
 	}
+}
+
+// ParsePattern is the inverse of Pattern.String: it turns a rendered
+// pattern, as dragserved serves it in a site summary, back into a Pattern.
+func ParsePattern(s string) (Pattern, error) {
+	for p := PatternNone; p <= PatternHighVariance; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return PatternNone, fmt.Errorf("drag: unknown pattern %q", s)
 }
 
 // Suggestion is the rewriting strategy the pattern suggests, phrased for

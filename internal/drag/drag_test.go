@@ -220,3 +220,28 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestParsePatternRoundTrip: every pattern survives String and back, the
+// way a served site summary carries it; an unknown rendering is an error.
+func TestParsePatternRoundTrip(t *testing.T) {
+	all := []drag.Pattern{drag.PatternNone, drag.PatternDeadCode, drag.PatternLazyAlloc,
+		drag.PatternAssignNull, drag.PatternHighVariance}
+	seen := make(map[string]bool, len(all))
+	for _, p := range all {
+		s := p.String()
+		if seen[s] {
+			t.Fatalf("two patterns render as %q", s)
+		}
+		seen[s] = true
+		got, err := drag.ParsePattern(s)
+		if err != nil {
+			t.Fatalf("ParsePattern(%q): %v", s, err)
+		}
+		if got != p {
+			t.Errorf("ParsePattern(%q) = %v, want %v", s, got, p)
+		}
+	}
+	if _, err := drag.ParsePattern("mostly-used"); err == nil {
+		t.Error("ParsePattern accepted an unknown pattern")
+	}
+}

@@ -51,10 +51,26 @@ func optimize(t *testing.T, p *bytecode.Program, passes ...string) *opt.Result {
 	return res
 }
 
+// optimizedHashes pins the ProgramHash of each workload after the default
+// passes: the optimizer is deterministic, so any drift in what it emits
+// is a change to review, not noise.
+var optimizedHashes = map[string]string{
+	"javac":    "d0cc87ebba299e3f1aaf5cd3b7547f48",
+	"db":       "e66c043ccfca43ef53360d3d8ea05cef",
+	"jack":     "e0e5c4f28c3bb0aec5a36dd8ad7bb64d",
+	"raytrace": "5ed2ce45e9a09e5d6518fdf3ad9327e3",
+	"jess":     "cffa3334200dab5841df6792c52579cf",
+	"mc":       "2f502ba3611335cf5393eae44335ece7",
+	"euler":    "dbcf89f8c151dda51ba187bdf6a487f9",
+	"juru":     "b69b61720ab034f30f9aba79b4cac719",
+	"analyzer": "018b1ff79bf174a7fe6e51b5fcd20e8c",
+}
+
 // TestWorkloadDifferential is the safety harness the whole optimizer hangs
 // on: for each of the nine workloads the optimized program must produce
-// byte-identical output, and optimizing the optimized program must be a
-// no-op (same ProgramHash, zero rewrites).
+// byte-identical output, optimizing the optimized program must be a no-op
+// (same ProgramHash, zero rewrites), and the optimized bytecode must hash
+// to its pinned value.
 func TestWorkloadDifferential(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -80,6 +96,9 @@ func TestWorkloadDifferential(t *testing.T) {
 			s := res2.Stats
 			if s.Devirtualized+s.RegionSites+s.DeadStoresNulled+s.NullStoresRemoved+s.UnreachableRemoved+s.NopsRemoved != 0 {
 				t.Fatalf("second optimizer run rewrote code: %+v", s)
+			}
+			if want := optimizedHashes[b.Name]; res.Hash != want {
+				t.Fatalf("optimized ProgramHash %s, want pinned %s", res.Hash, want)
 			}
 		})
 	}

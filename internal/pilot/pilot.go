@@ -1,8 +1,9 @@
-// Package pilot closes the profiling loop: it pulls the fleet's drag-hot
-// allocation sites from a dragserved instance, asks the batch prover which
-// of the paper's rewrites are sound, applies the proved (and
-// profile-selected, statically validated) ones through StaticTransform,
-// re-profiles the rewritten program against the served baseline, and
+// Package pilot closes the profiling loop: it takes a program's drag-hot
+// allocation sites — pulled from a dragserved instance, or from an
+// in-process profile in local mode — asks the batch prover which of the
+// paper's rewrites are sound, hands every resolved site with its profiled
+// pattern to transform.Rewrite (proved rewrites first, then validated
+// ones), re-profiles the rewritten program against the baseline, and
 // reports the reachable-but-dead gap it closed. Sites the analyses find
 // plausible but cannot prove become SARIF suggestions for a human, with
 // stable fingerprints so a stored baseline suppresses everything already
@@ -15,10 +16,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"dragprof/internal/analysis"
 	"dragprof/internal/bench"
+	"dragprof/internal/bytecode"
 	"dragprof/internal/drag"
 	"dragprof/internal/lint"
 	"dragprof/internal/profile"
@@ -29,6 +30,29 @@ import (
 	"dragprof/internal/vm"
 )
 
+// Program is one program a sweep rewrites. Compile must return a fresh,
+// independent copy on every call: the prover, the rewriter and the
+// baseline run each need their own.
+type Program struct {
+	Name    string
+	Compile func() (*bytecode.Program, error)
+}
+
+// Bench returns the named embedded benchmark's original version.
+func Bench(name string) (Program, error) {
+	b, err := bench.ByName(name)
+	if err != nil {
+		return Program{}, err
+	}
+	return Program{Name: b.Name, Compile: func() (*bytecode.Program, error) {
+		cp, err := b.Compile(bench.Original, bench.OriginalInput)
+		if err != nil {
+			return nil, err
+		}
+		return cp.Program, nil
+	}}, nil
+}
+
 // Options configure one autofix sweep.
 type Options struct {
 	// Client talks to the dragserved instance holding the fleet profiles.
@@ -36,6 +60,11 @@ type Options struct {
 	// Workloads restricts the sweep to these benchmark names; empty sweeps
 	// every served workload that names an embedded benchmark.
 	Workloads []string
+	// Local, when non-empty, replaces the server: each program is profiled
+	// in-process and its report's nested-site groups, the groups
+	// dragserved serves as /sites, go down the same sort, top-N, prove,
+	// rewrite and re-profile path. Client, Workloads and Push are unused.
+	Local []Program
 	// Top bounds how many drag-hot sites per workload are sent to the
 	// prover (default 10, the paper's table depth).
 	Top int
@@ -65,7 +94,7 @@ type WorkloadResult struct {
 	// Verdicts the prover's answers (sorted by SortVerdicts).
 	Refs     []analysis.SiteRef     `json:"refs"`
 	Verdicts []analysis.SiteVerdict `json:"verdicts"`
-	// Actions are the StaticTransform actions (applied and rejected) and
+	// Actions are the transform.Rewrite actions (applied and rejected) and
 	// Applied the applied count.
 	Actions []transform.Action `json:"actions"`
 	Applied int                `json:"applied"`
@@ -108,7 +137,7 @@ type Result struct {
 // Rules is the SARIF rule table for pilot diagnostics.
 func Rules() []report.RuleInfo {
 	return []report.RuleInfo{
-		{ID: "autofix-applied", Description: "a proved rewrite was applied automatically"},
+		{ID: "autofix-applied", Description: "a proved or validated rewrite was applied automatically"},
 		{ID: "autofix-rejected", Description: "a selected rewrite failed static validation and was not applied"},
 		{ID: "suggest-write-only", Description: "object state is written but never read back; consider removing the allocation"},
 		{ID: "suggest-assign-null", Description: "the object stays confined to its allocating method; consider nulling the last holder"},
@@ -137,46 +166,25 @@ func defaults(opts Options) Options {
 }
 
 // Run executes one sweep. The result is deterministic for a fixed server
-// state and option set: workloads are visited in a fixed order, verdicts
-// and diagnostics are sorted, and the rewritten programs and their
-// re-profiles are replayed on the deterministic VM.
+// state (or local program set) and option set: workloads are visited in a
+// fixed order, verdicts and diagnostics are sorted, and the rewritten
+// programs and their re-profiles are replayed on the deterministic VM.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts = defaults(opts)
-	if opts.Client == nil {
-		return nil, fmt.Errorf("pilot: no server client configured")
-	}
-
-	sums, err := opts.Client.Sites(ctx, "drag", 0)
-	if err != nil {
-		return nil, fmt.Errorf("pilot: fetching served sites: %w", err)
-	}
-	byWorkload := make(map[string][]*store.SiteSummary)
-	for _, s := range sums {
-		byWorkload[s.Name] = append(byWorkload[s.Name], s)
-	}
-
-	workloads := opts.Workloads
-	explicit := len(workloads) > 0
-	if !explicit {
-		for name := range byWorkload {
-			if _, err := bench.ByName(name); err == nil {
-				workloads = append(workloads, name)
-			}
+	progs := opts.Local
+	var served map[string][]*store.SiteSummary
+	if len(progs) == 0 {
+		var err error
+		if progs, served, err = servedPrograms(ctx, opts); err != nil {
+			return nil, err
 		}
-		sort.Strings(workloads)
 	}
 
 	res := &Result{}
-	for _, name := range workloads {
-		if _, err := bench.ByName(name); err != nil {
-			if explicit {
-				return nil, fmt.Errorf("pilot: %w", err)
-			}
-			continue
-		}
-		wr, err := runWorkload(ctx, opts, name, byWorkload[name])
+	for _, prog := range progs {
+		wr, err := runWorkload(ctx, opts, prog, served[prog.Name])
 		if err != nil {
-			return nil, fmt.Errorf("pilot: %s: %w", name, err)
+			return nil, fmt.Errorf("pilot: %s: %w", prog.Name, err)
 		}
 		res.Workloads = append(res.Workloads, wr)
 		res.Diagnostics = append(res.Diagnostics, diagnose(wr)...)
@@ -194,13 +202,66 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runWorkload sweeps one benchmark: prove the served top sites, rewrite,
-// re-profile, and (with Push) upload and diff against the served baseline.
-func runWorkload(ctx context.Context, opts Options, name string, sums []*store.SiteSummary) (*WorkloadResult, error) {
-	b, err := bench.ByName(name)
+// servedPrograms fetches the served site summaries and picks the
+// benchmarks to sweep: the requested workloads, or every served workload
+// that names an embedded benchmark.
+func servedPrograms(ctx context.Context, opts Options) ([]Program, map[string][]*store.SiteSummary, error) {
+	if opts.Client == nil {
+		return nil, nil, fmt.Errorf("pilot: no server client configured")
+	}
+	sums, err := opts.Client.Sites(ctx, "drag", 0)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pilot: fetching served sites: %w", err)
+	}
+	byWorkload := make(map[string][]*store.SiteSummary)
+	for _, s := range sums {
+		byWorkload[s.Name] = append(byWorkload[s.Name], s)
+	}
+
+	names := opts.Workloads
+	explicit := len(names) > 0
+	if !explicit {
+		for name := range byWorkload {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+	}
+	var progs []Program
+	for _, name := range names {
+		prog, err := Bench(name)
+		if err != nil {
+			if explicit {
+				return nil, nil, fmt.Errorf("pilot: %w", err)
+			}
+			continue
+		}
+		progs = append(progs, prog)
+	}
+	return progs, byWorkload, nil
+}
+
+// runProfile is the profiler entry point; tests substitute a memoized
+// profile.Run so sweeps of an unchanged program reuse one run.
+var runProfile = profile.Run
+
+// runWorkload sweeps one program: profile the original, prove the top
+// sites (served, or from that profile in local mode), rewrite, re-profile,
+// and (with Push) upload and diff against the served baseline.
+func runWorkload(ctx context.Context, opts Options, prog Program, sums []*store.SiteSummary) (*WorkloadResult, error) {
+	cfg := vm.Config{HeapCapacity: opts.HeapBytes, GCInterval: opts.GCInterval}
+	cpBase, err := prog.Compile()
 	if err != nil {
 		return nil, err
 	}
+	baseProf, baseVM, err := runProfile(cpBase, prog.Name, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("original run: %w", err)
+	}
+	baseRep := drag.Analyze(baseProf, drag.Options{})
+	if len(opts.Local) > 0 {
+		sums = store.SummarizeSites(prog.Name, 1, baseRep)
+	}
+
 	// The served summaries arrive drag-sorted across workloads; re-sort
 	// within the workload (drag descending, description tiebreak) before
 	// truncating so the top-N cut is deterministic.
@@ -215,54 +276,42 @@ func runWorkload(ctx context.Context, opts Options, name string, sums []*store.S
 		sums = sums[:opts.Top]
 	}
 
-	wr := &WorkloadResult{Workload: name}
+	wr := &WorkloadResult{Workload: prog.Name}
 	patternOf := make(map[string]string, len(sums))
 	for _, s := range sums {
 		wr.Refs = append(wr.Refs, analysis.SiteRef{Desc: s.Desc})
 		patternOf[s.Desc] = s.Pattern
 	}
 
-	// Three independent compiles of the same deterministic sources: the
-	// prover keeps a live reference to its program inside the content-hash
-	// cache, so the copy handed to it must never be mutated; the transform
-	// edits its copy in place; and the untouched third copy replays the
-	// original for the output-identity check.
-	cpProve, err := b.Compile(bench.Original, bench.OriginalInput)
+	// Two more independent compiles of the same deterministic sources:
+	// the prover keeps a live reference to its program inside the
+	// content-hash cache, so the copy handed to it must never be mutated,
+	// and the rewriter edits its copy in place.
+	cpProve, err := prog.Compile()
 	if err != nil {
 		return nil, err
 	}
-	verdicts, err := opts.Prover.ProveSites(cpProve.Program, wr.Refs)
+	verdicts, err := opts.Prover.ProveSites(cpProve, wr.Refs)
 	if err != nil {
 		return nil, err
 	}
 	// Devirtualization opportunities ride along as informational findings:
 	// the prover's program copy is read-only, so the extra call graph here
 	// cannot disturb the cached analyses.
-	wr.MonoCalls = lint.MonomorphicCallFindings(cpProve.Program,
-		analysis.BuildCallGraph(cpProve.Program))
+	wr.MonoCalls = lint.MonomorphicCallFindings(cpProve, analysis.BuildCallGraph(cpProve))
 
-	// Profile-selected lazy-allocation candidates: sites the prover could
-	// not prove outright, whose served use pattern says most objects are
-	// never used, anchored at application code. StaticTransform validates
-	// each before touching bytecode, so over-selection costs only a
-	// rejected action.
-	var lazySites []int32
-	for _, v := range verdicts {
-		if v.Status == analysis.VerdictProved || v.Anchor < 0 {
-			continue
-		}
-		if strings.Contains(patternOf[v.Ref.Desc], "never-used") {
-			lazySites = append(lazySites, v.Anchor)
-		}
+	cands, err := candidates(verdicts, patternOf)
+	if err != nil {
+		return nil, err
 	}
 	analysis.SortVerdicts(verdicts)
 	wr.Verdicts = verdicts
 
-	cpHead, err := b.Compile(bench.Original, bench.OriginalInput)
+	cpHead, err := prog.Compile()
 	if err != nil {
 		return nil, err
 	}
-	actions, err := transform.StaticTransformOpts(cpHead.Program, transform.StaticOptions{LazySites: lazySites})
+	actions, err := transform.Rewrite(cpHead, cands)
 	if err != nil {
 		return nil, err
 	}
@@ -273,22 +322,13 @@ func runWorkload(ctx context.Context, opts Options, name string, sums []*store.S
 		}
 	}
 	fmt.Fprintf(opts.Log, "pilot: %s: %d sites proved over, %d rewrites applied (%d considered)\n",
-		name, len(wr.Refs), wr.Applied, len(actions))
+		prog.Name, len(wr.Refs), wr.Applied, len(actions))
 
-	cpBase, err := b.Compile(bench.Original, bench.OriginalInput)
-	if err != nil {
-		return nil, err
-	}
-	cfg := vm.Config{HeapCapacity: opts.HeapBytes, GCInterval: opts.GCInterval}
-	baseProf, baseVM, err := profile.Run(cpBase.Program, name, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("original run: %w", err)
-	}
 	// The rewritten program is a different build: its site and chain
 	// tables no longer match the fleet runs, so its profile is pushed
 	// under a derived workload name rather than polluting (and breaking)
 	// the original workload's cross-run merge.
-	headProf, headVM, err := profile.Run(cpHead.Program, name+"/rewritten", cfg)
+	headProf, headVM, err := runProfile(cpHead, prog.Name+"/rewritten", cfg)
 	if err != nil {
 		return nil, fmt.Errorf("rewritten run: %w", err)
 	}
@@ -296,7 +336,6 @@ func runWorkload(ctx context.Context, opts Options, name string, sums []*store.S
 	if !wr.OutputIdentical {
 		return nil, fmt.Errorf("rewritten program output diverges from the original (%d rewrites applied)", wr.Applied)
 	}
-	baseRep := drag.Analyze(baseProf, drag.Options{})
 	headRep := drag.Analyze(headProf, drag.Options{})
 	local, err := drag.CompareChecked(baseRep, headRep)
 	if err != nil {
@@ -307,13 +346,30 @@ func runWorkload(ctx context.Context, opts Options, name string, sums []*store.S
 	wr.Local = local
 	wr.DragSavingPct = wr.Local.DragSavingPct
 
-	if opts.Push {
+	if opts.Push && len(opts.Local) == 0 {
 		if err := pushAndDiff(ctx, opts, wr, headProf); err != nil {
 			return nil, err
 		}
 	}
-	fmt.Fprintf(opts.Log, "pilot: %s: drag saving %.1f%% (output identical)\n", name, wr.DragSavingPct)
+	fmt.Fprintf(opts.Log, "pilot: %s: drag saving %.1f%% (output identical)\n", prog.Name, wr.DragSavingPct)
 	return wr, nil
+}
+
+// candidates hands the planner every verdict whose anchor resolved,
+// together with the pattern the profile classified its group under.
+func candidates(verdicts []analysis.SiteVerdict, patternOf map[string]string) ([]transform.Candidate, error) {
+	var out []transform.Candidate
+	for _, v := range verdicts {
+		if v.Anchor < 0 {
+			continue
+		}
+		pat, err := drag.ParsePattern(patternOf[v.Ref.Desc])
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, transform.Candidate{Site: v.Anchor, Pattern: pat})
+	}
+	return out, nil
 }
 
 // pushAndDiff uploads the re-profiled run and fills in the server-side
@@ -357,9 +413,9 @@ func pushAndDiff(ctx context.Context, opts Options, wr *WorkloadResult, headProf
 }
 
 // diagnose turns one workload's sweep into SARIF-bound diagnostics:
-// applied rewrites as notes, validation rejections of profile-selected
-// rewrites as warnings, and plausible-but-unproved verdicts as the
-// suggestions a human should triage. Verdicts and actions are already in
+// applied rewrites as notes, validation rejections as warnings, and
+// plausible-but-unproved verdicts as the suggestions a human should
+// triage. Verdicts and actions are already in
 // deterministic order, so the diagnostic list is too.
 func diagnose(wr *WorkloadResult) []report.Diagnostic {
 	var out []report.Diagnostic
@@ -381,6 +437,7 @@ func diagnose(wr *WorkloadResult) []report.Diagnostic {
 			"workload": wr.Workload,
 			"site":     a.SiteDesc,
 			"strategy": a.Strategy,
+			"tier":     a.Tier,
 		}
 		if h := hashOf[a.Site]; h != "" {
 			props["methodHash"] = h
@@ -389,7 +446,7 @@ func diagnose(wr *WorkloadResult) []report.Diagnostic {
 			out = append(out, report.Diagnostic{
 				RuleID:  "autofix-applied",
 				Level:   "note",
-				Message: fmt.Sprintf("%s: applied %s at %s: %s", wr.Workload, a.Strategy, a.SiteDesc, a.Reason),
+				Message: fmt.Sprintf("%s: applied %s %s at %s: %s", wr.Workload, a.Tier, a.Strategy, a.SiteDesc, a.Reason),
 				File:    wr.Workload, Properties: props,
 			})
 		} else {
@@ -397,7 +454,7 @@ func diagnose(wr *WorkloadResult) []report.Diagnostic {
 			out = append(out, report.Diagnostic{
 				RuleID:  "autofix-rejected",
 				Level:   "warning",
-				Message: fmt.Sprintf("%s: %s at %s not applied: %s", wr.Workload, a.Strategy, a.SiteDesc, a.Reason),
+				Message: fmt.Sprintf("%s: %s %s at %s not applied: %s", wr.Workload, a.Tier, a.Strategy, a.SiteDesc, a.Reason),
 				File:    wr.Workload, Properties: props,
 			})
 		}
@@ -445,7 +502,7 @@ func diagnose(wr *WorkloadResult) []report.Diagnostic {
 // reachable and in-use space-time integrals before and after the sweep's
 // rewrites, the drag gap between them, and how much of it closed. Server
 // diffs are preferred; workloads without one fall back to the in-process
-// comparison (marked "local").
+// comparison (marked "local"), as every workload of a local sweep does.
 func GapText(w io.Writer, res *Result) {
 	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %8s  %s\n",
 		"workload", "reach-before", "gap-before", "reach-after", "gap-after", "closed", "source")

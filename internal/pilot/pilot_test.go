@@ -3,12 +3,16 @@ package pilot
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"dragprof/internal/analysis"
 	"dragprof/internal/bench"
+	"dragprof/internal/bytecode"
 	"dragprof/internal/drag"
 	"dragprof/internal/profile"
 	"dragprof/internal/report"
@@ -17,6 +21,36 @@ import (
 	"dragprof/internal/transform"
 	"dragprof/internal/vm"
 )
+
+func TestMain(m *testing.M) {
+	runProfile = memoProfile(runProfile)
+	os.Exit(m.Run())
+}
+
+// memoProfile wraps a profiler so each (program, run name, config) is
+// profiled once per test binary: seeded runs, the sweeps' baseline runs and
+// repeat sweeps of unchanged programs share one deterministic run.
+func memoProfile(run func(*bytecode.Program, string, vm.Config) (*profile.Profile, *vm.VM, error)) func(*bytecode.Program, string, vm.Config) (*profile.Profile, *vm.VM, error) {
+	type result struct {
+		prof *profile.Profile
+		m    *vm.VM
+	}
+	var mu sync.Mutex
+	done := make(map[string]result)
+	return func(p *bytecode.Program, name string, cfg vm.Config) (*profile.Profile, *vm.VM, error) {
+		key := fmt.Sprintf("%s|%s|%+v", bytecode.ProgramHash(p), name, cfg)
+		mu.Lock()
+		defer mu.Unlock()
+		if r, ok := done[key]; ok {
+			return r.prof, r.m, nil
+		}
+		prof, m, err := run(p, name, cfg)
+		if err == nil {
+			done[key] = result{prof, m}
+		}
+		return prof, m, err
+	}
+}
 
 // startServer runs an in-process dragserved over a temp store.
 func startServer(t *testing.T) *server.Client {
@@ -69,7 +103,7 @@ func benchProfile(t *testing.T, name string) *profile.Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, _, err := profile.Run(cp.Program, name, vm.Config{
+	prof, _, err := runProfile(cp.Program, name, vm.Config{
 		HeapCapacity: 48 << 20,
 		GCInterval:   bench.DefaultGCInterval,
 	})
@@ -172,6 +206,110 @@ func TestPilotReproducesPaperRewrites(t *testing.T) {
 	}
 }
 
+// savingFloors are the drag savings the planner must reach on each
+// workload, in sweep order.
+var savingFloors = []struct {
+	name string
+	pct  float64
+}{
+	{"euler", 78.78},
+	{"jack", 66.68},
+	{"raytrace", 39.08},
+	{"jess", 16.70},
+	{"juru", 36.54},
+}
+
+// checkSavings asserts a sweep over savingFloors' workloads kept every
+// program's output and reached every floor.
+func checkSavings(t *testing.T, res *Result) {
+	t.Helper()
+	if len(res.Workloads) != len(savingFloors) {
+		t.Fatalf("swept %d workloads, want %d", len(res.Workloads), len(savingFloors))
+	}
+	for i, f := range savingFloors {
+		wr := res.Workloads[i]
+		if wr.Workload != f.name {
+			t.Fatalf("workload %d is %s, want %s", i, wr.Workload, f.name)
+		}
+		if !wr.OutputIdentical {
+			t.Errorf("%s: rewritten output diverged", f.name)
+		}
+		// The floors are quoted to two decimals.
+		if wr.DragSavingPct < f.pct-0.005 {
+			t.Errorf("%s: drag saving %.4f%%, want >= %.2f%%; actions: %v",
+				f.name, wr.DragSavingPct, f.pct, describe(wr))
+		}
+	}
+}
+
+// TestPilotServedSweepSavings: the same floors hold when the sites come
+// from dragserved and the saving is the server-side diff.
+func TestPilotServedSweepSavings(t *testing.T) {
+	c := startServer(t)
+	var names []string
+	for _, f := range savingFloors {
+		seedRun(t, c, f.name)
+		names = append(names, f.name)
+	}
+	res, err := Run(context.Background(), Options{Client: c, Workloads: names, Push: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSavings(t, res)
+	for _, wr := range res.Workloads {
+		if wr.Diff == nil {
+			t.Errorf("%s: no server-side diff", wr.Workload)
+		}
+	}
+}
+
+// TestPilotLocalSweep sweeps five workloads in local mode, with no server,
+// and pins the one planner at or above the better of the two rewrite paths
+// it replaced: profile patterns mapped straight to rewrites, which saved
+// 36.54% of juru's drag and none of euler's, and proved rewrites plus
+// profile-selected lazy allocation, which saved 78.78% of euler's and none
+// of juru's. Every rewritten program must print the original's output, and
+// a repeat sweep must render byte-identical SARIF and gap tables.
+func TestPilotLocalSweep(t *testing.T) {
+	var progs []Program
+	for _, f := range savingFloors {
+		prog, err := Bench(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	opts := Options{Local: progs, Prover: analysis.NewProver()}
+	res, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSavings(t, res)
+	for _, wr := range res.Workloads {
+		if wr.Diff != nil || wr.HeadRun != "" {
+			t.Errorf("%s: local sweep talked to a server", wr.Workload)
+		}
+	}
+	var gap strings.Builder
+	GapText(&gap, res)
+	if got := strings.Count(gap.String(), "  local\n"); got != len(savingFloors) {
+		t.Errorf("gap table names %d local sources, want %d:\n%s", got, len(savingFloors), gap.String())
+	}
+
+	res2, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.SARIF != res.SARIF {
+		t.Error("repeat local sweep produced different SARIF")
+	}
+	var gap2 strings.Builder
+	GapText(&gap2, res2)
+	if gap2.String() != gap.String() {
+		t.Errorf("repeat local sweep produced a different gap table:\n%s\nvs\n%s", gap.String(), gap2.String())
+	}
+}
+
 // TestPilotBaselineSuppression: feeding a sweep's own SARIF back as the
 // baseline suppresses every finding; CI gates on the new ones only.
 func TestPilotBaselineSuppression(t *testing.T) {
@@ -269,8 +407,8 @@ func TestPilotSalvagedProfileMatchesFull(t *testing.T) {
 
 // proveAndRewrite mirrors the pilot's per-workload pipeline, driven by a
 // local profile instead of served summaries: top nested sites → batch
-// prover → StaticTransform with pattern-selected lazy sites. Returns the
-// applied actions as "strategy @ site" strings.
+// prover → transform.Rewrite with every anchored verdict as a candidate.
+// Returns the applied actions as "strategy @ site" strings.
 func proveAndRewrite(t *testing.T, prof *profile.Profile) []string {
 	t.Helper()
 	rep := drag.Analyze(prof, drag.Options{})
@@ -296,18 +434,15 @@ func proveAndRewrite(t *testing.T, prof *profile.Profile) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lazy []int32
-	for _, v := range verdicts {
-		if v.Status != analysis.VerdictProved && v.Anchor >= 0 &&
-			strings.Contains(patternOf[v.Ref.Desc], "never-used") {
-			lazy = append(lazy, v.Anchor)
-		}
+	cands, err := candidates(verdicts, patternOf)
+	if err != nil {
+		t.Fatal(err)
 	}
 	cp, err := b.Compile(bench.Original, bench.OriginalInput)
 	if err != nil {
 		t.Fatal(err)
 	}
-	actions, err := transform.StaticTransformOpts(cp.Program, transform.StaticOptions{LazySites: lazy})
+	actions, err := transform.Rewrite(cp.Program, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

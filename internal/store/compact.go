@@ -194,11 +194,20 @@ func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, erro
 	}
 	rep := acc.Report()
 	ws.TotalDrag = rep.TotalDrag
+	ws.Sites = SummarizeSites(name, len(ids), rep)
+	return ws, nil
+}
+
+// SummarizeSites renders a report's nested-site groups, in the report's
+// drag order, as the summaries /sites serves for a workload merged from
+// runs runs.
+func SummarizeSites(name string, runs int, rep *drag.Report) []*SiteSummary {
+	var out []*SiteSummary
 	for _, g := range rep.ByNestedSite {
-		ws.Sites = append(ws.Sites, &SiteSummary{
+		out = append(out, &SiteSummary{
 			Name:      name,
 			Desc:      g.Desc,
-			Runs:      len(ids),
+			Runs:      runs,
 			Count:     g.Count,
 			NeverUsed: g.NeverUsed,
 			Bytes:     g.Bytes,
@@ -207,7 +216,7 @@ func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, erro
 			Pattern:   g.Pattern.String(),
 		})
 	}
-	return ws, nil
+	return out
 }
 
 // SiteSummaries returns the compacted cross-run site summaries for every

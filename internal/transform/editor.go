@@ -2,10 +2,13 @@
 // paper forecasts for optimizing compilers (Section 5): inserting null
 // assignments after a reference's last use (validated by liveness),
 // removing dead allocations (validated by indirect-usage, constructor
-// purity and exception analysis), and lazy allocation with null-test
-// guards at every possible first use (minimal code insertion). A
-// profile-guided driver applies them to the allocation sites the drag
-// profiler ranks hottest.
+// purity and exception analysis), lazy allocation with null-test guards at
+// every possible first use (minimal code insertion), and null stores the
+// heap liveness pass proves past a phase guard. One planner, Rewrite,
+// applies them in two tiers: the rewrites the static analyses prove on
+// their own, then, at the allocation sites a drag profile ranks, the
+// rewrite each site's lifetime pattern suggests once the analyses
+// validate it.
 package transform
 
 import (

@@ -42,9 +42,9 @@ func TestStaticTransformEuler(t *testing.T) {
 	beforeRep, beforeOut := profileNamed(t, baseline, "euler/base")
 
 	p := compileBench(t, "euler")
-	actions, err := transform.StaticTransform(p)
+	actions, err := transform.Rewrite(p, nil)
 	if err != nil {
-		t.Fatalf("StaticTransform: %v", err)
+		t.Fatalf("Rewrite: %v", err)
 	}
 	applied := 0
 	killed := false
@@ -89,8 +89,8 @@ func TestStaticTransformPreservesOutput(t *testing.T) {
 			_, beforeOut := profileNamed(t, baseline, name+"/base")
 
 			p := compileBench(t, name)
-			if _, err := transform.StaticTransform(p); err != nil {
-				t.Fatalf("StaticTransform: %v", err)
+			if _, err := transform.Rewrite(p, nil); err != nil {
+				t.Fatalf("Rewrite: %v", err)
 			}
 			if err := bytecode.Verify(p); err != nil {
 				t.Fatalf("verify: %v", err)
@@ -107,12 +107,12 @@ func TestStaticTransformPreservesOutput(t *testing.T) {
 // already-transformed program must not corrupt the guard chain.
 func TestStaticTransformDeterministic(t *testing.T) {
 	p1 := compileBench(t, "euler")
-	a1, err := transform.StaticTransform(p1)
+	a1, err := transform.Rewrite(p1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := compileBench(t, "euler")
-	a2, err := transform.StaticTransform(p2)
+	a2, err := transform.Rewrite(p2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,6 +250,9 @@ func TestLazyAllocateField(t *testing.T) {
 	}
 }
 
+// TestAutoTransformOnProfile drives the planner from a profile: the
+// report's drag-ranked sites become candidates, and the never-used Cache
+// allocation must be removed with output unchanged.
 func TestAutoTransformOnProfile(t *testing.T) {
 	p := compile(t, deadAllocSrc)
 	prof, _, err := profile.Run(p, "t", vm.Config{GCInterval: 8 << 10})
@@ -258,10 +261,16 @@ func TestAutoTransformOnProfile(t *testing.T) {
 	}
 	rep := drag.Analyze(prof, drag.Options{})
 
+	var cands []transform.Candidate
+	for _, g := range rep.BySite {
+		if len(cands) < 5 && g.SiteID >= 0 && g.Drag > 0 {
+			cands = append(cands, transform.Candidate{Site: g.SiteID, Pattern: g.Pattern})
+		}
+	}
 	p2 := compile(t, deadAllocSrc)
-	actions, err := transform.AutoTransform(p2, rep, 5)
+	actions, err := transform.Rewrite(p2, cands)
 	if err != nil {
-		t.Fatalf("auto: %v", err)
+		t.Fatalf("rewrite: %v", err)
 	}
 	applied := 0
 	for _, a := range actions {
