@@ -47,39 +47,48 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	out := flag.String("o", "drag.log", "drag log output path")
-	format := flag.String("format", "binary", "log format: binary (v3, compact) or text (v2, line-oriented)")
-	compress := flag.Bool("compress", true, "gzip the binary log body (ignored for -format text)")
-	interval := flag.Int64("interval", 100<<10, "deep-GC interval in allocated bytes (the paper's 100 KB)")
-	heap := flag.Int64("heap", 48<<20, "heap capacity in bytes")
-	collector := flag.String("gc", "mark-sweep", "collector: mark-sweep, mark-compact or generational")
-	maxAlloc := flag.Int64("max-alloc", 0, "abort after this many allocated bytes (0: unlimited)")
-	maxLive := flag.Int64("max-live", 0, "abort when the live heap exceeds this after a full GC (0: unlimited)")
-	timeout := flag.Duration("timeout", 0, "abort after this much wall-clock time (0: unlimited)")
-	sampleRate := flag.Float64("sample-rate", 1, "per-byte sampling rate in (0, 1]; 1 profiles every object exactly, lower rates record a byte-weighted sample and the analysis reports scaled estimates with confidence intervals")
-	sampleSeed := flag.Uint64("sample-seed", 0, "sampler seed (same program, rate and seed reproduce a byte-identical log)")
-	benchName := flag.String("bench", "", "profile an embedded paper benchmark ("+strings.Join(bench.Names(), ", ")+") instead of source files")
-	push := flag.String("push", "", "after writing the log, upload it to this dragserved base URL")
-	pushRetries := flag.Int("push-retries", 3, "push retry attempts after the first")
-	pushTimeout := flag.Duration("push-timeout", 60*time.Second, "per-attempt push timeout")
-	pushMaxElapsed := flag.Duration("push-max-elapsed", 5*time.Minute, "give up pushing after this much total retry time")
-	tenantToken := flag.String("tenant-token", "", "bearer token for a multi-tenant dragserved (sent as Authorization: Bearer)")
-	flag.Parse()
+// run is dragprof with its arguments and output streams; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dragprof", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("o", "drag.log", "drag log output path")
+	format := fs.String("format", "binary", "log format: binary (v3, compact) or text (v2, line-oriented)")
+	compress := fs.Bool("compress", true, "gzip the binary log body (ignored for -format text)")
+	interval := fs.Int64("interval", 100<<10, "deep-GC interval in allocated bytes (the paper's 100 KB)")
+	heap := fs.Int64("heap", 48<<20, "heap capacity in bytes")
+	collector := fs.String("gc", "mark-sweep", "collector: mark-sweep, mark-compact or generational")
+	maxAlloc := fs.Int64("max-alloc", 0, "abort after this many allocated bytes (0: unlimited)")
+	maxLive := fs.Int64("max-live", 0, "abort when the live heap exceeds this after a full GC (0: unlimited)")
+	timeout := fs.Duration("timeout", 0, "abort after this much wall-clock time (0: unlimited)")
+	sampleRate := fs.Float64("sample-rate", 1, "per-byte sampling rate in (0, 1]; 1 profiles every object exactly, lower rates record a byte-weighted sample and the analysis reports scaled estimates with confidence intervals")
+	sampleSeed := fs.Uint64("sample-seed", 0, "sampler seed (same program, rate and seed reproduce a byte-identical log)")
+	benchName := fs.String("bench", "", "profile an embedded paper benchmark ("+strings.Join(bench.Names(), ", ")+") instead of source files")
+	push := fs.String("push", "", "after writing the log, upload it to this dragserved base URL")
+	pushRetries := fs.Int("push-retries", 3, "push retry attempts after the first")
+	pushTimeout := fs.Duration("push-timeout", 60*time.Second, "per-attempt push timeout")
+	pushMaxElapsed := fs.Duration("push-max-elapsed", 5*time.Minute, "give up pushing after this much total retry time")
+	tenantToken := fs.String("tenant-token", "", "bearer token for a multi-tenant dragserved (sent as Authorization: Bearer)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
 	if *format != "binary" && *format != "text" {
-		fmt.Fprintf(os.Stderr, "dragprof: unknown -format %q (want binary or text)\n", *format)
+		fmt.Fprintf(stderr, "dragprof: unknown -format %q (want binary or text)\n", *format)
 		return cli.ExitUsage
 	}
 	if !(*sampleRate > 0 && *sampleRate <= 1) {
-		fmt.Fprintf(os.Stderr, "dragprof: -sample-rate %v outside (0, 1] (1 = exact profiling)\n", *sampleRate)
+		fmt.Fprintf(stderr, "dragprof: -sample-rate %v outside (0, 1] (1 = exact profiling)\n", *sampleRate)
 		return cli.ExitUsage
 	}
-	if (*benchName == "") == (flag.NArg() == 0) {
-		fmt.Fprintln(os.Stderr, "usage: dragprof [flags] file.mj...   (or dragprof -bench name [flags])")
-		flag.PrintDefaults()
+	if (*benchName == "") == (fs.NArg() == 0) {
+		fmt.Fprintln(stderr, "usage: dragprof [flags] file.mj...   (or dragprof -bench name [flags])")
+		fs.PrintDefaults()
 		return cli.ExitUsage
 	}
 
@@ -87,31 +96,31 @@ func run() int {
 	if *benchName != "" {
 		b, err := bench.ByName(*benchName)
 		if err != nil {
-			return fail(err, cli.ExitUsage)
+			return fail(stderr, err, cli.ExitUsage)
 		}
 		names, texts, err := b.Sources(bench.Original, bench.OriginalInput)
 		if err != nil {
-			return fail(err, cli.ExitFailure)
+			return fail(stderr, err, cli.ExitFailure)
 		}
 		for _, name := range names {
 			sources = append(sources, dragprof.Source{Name: name, Text: texts[name]})
 		}
 	} else {
-		for _, name := range flag.Args() {
+		for _, name := range fs.Args() {
 			text, err := os.ReadFile(name)
 			if err != nil {
-				return fail(err, cli.ExitFailure)
+				return fail(stderr, err, cli.ExitFailure)
 			}
 			sources = append(sources, dragprof.Source{Name: name, Text: string(text)})
 		}
 	}
 	prog, err := dragprof.Compile(sources...)
 	if err != nil {
-		return fail(err, cli.ExitCompile)
+		return fail(stderr, err, cli.ExitCompile)
 	}
 	runName := *benchName
-	if runName == "" && flag.NArg() > 0 {
-		runName = flag.Arg(0)
+	if runName == "" && fs.NArg() > 0 {
+		runName = fs.Arg(0)
 	}
 	prof, runErr := prog.ProfileRun(dragprof.RunOptions{
 		Name:                runName,
@@ -121,7 +130,7 @@ func run() int {
 		AllocBudgetBytes:    *maxAlloc,
 		HeapLiveBudgetBytes: *maxLive,
 		WallClockBudget:     *timeout,
-		Out:                 os.Stdout,
+		Out:                 stdout,
 		SampleRate:          *sampleRate,
 		SampleSeed:          *sampleSeed,
 	})
@@ -129,16 +138,16 @@ func run() int {
 	if runErr != nil {
 		code = cli.ClassifyRunError(runErr)
 		if prof == nil {
-			return fail(runErr, code)
+			return fail(stderr, runErr, code)
 		}
 		// The run halted early but the profile is intact — report the
 		// abort, write the log anyway.
-		fmt.Fprintln(os.Stderr, "dragprof: run aborted:", runErr)
+		fmt.Fprintln(stderr, "dragprof: run aborted:", runErr)
 	}
 
 	f, err := os.Create(*out)
 	if err != nil {
-		return fail(err, cli.ExitFailure)
+		return fail(stderr, err, cli.ExitFailure)
 	}
 	if *format == "binary" {
 		err = prof.WriteBinaryLog(f, *compress)
@@ -149,13 +158,13 @@ func run() int {
 		err = cerr
 	}
 	if err != nil {
-		return fail(err, cli.ExitFailure)
+		return fail(stderr, err, cli.ExitFailure)
 	}
-	fmt.Fprintf(os.Stderr, "dragprof: %d objects, %.2f MB allocated, %s log written to %s\n",
+	fmt.Fprintf(stderr, "dragprof: %d objects, %.2f MB allocated, %s log written to %s\n",
 		prof.NumObjects(), float64(prof.TotalAllocationBytes())/(1<<20), *format, *out)
 
 	if *push != "" {
-		if pushCode := pushLog(*push, *out, *tenantToken, *pushRetries, *pushTimeout, *pushMaxElapsed); pushCode != cli.ExitOK {
+		if pushCode := pushLog(stderr, *push, *out, *tenantToken, *pushRetries, *pushTimeout, *pushMaxElapsed); pushCode != cli.ExitOK {
 			return pushCode
 		}
 	}
@@ -165,7 +174,7 @@ func run() int {
 // pushLog uploads the written log to a dragserved instance. The log stays
 // on disk either way, so an unreachable server (exit 7) or a bad tenant
 // token (exit 9) loses nothing.
-func pushLog(serverURL, path, token string, retries int, timeout, maxElapsed time.Duration) int {
+func pushLog(stderr io.Writer, serverURL, path, token string, retries int, timeout, maxElapsed time.Duration) int {
 	open := func() (io.ReadCloser, error) { return os.Open(path) }
 	resp, err := server.Push(context.Background(), serverURL, open, server.PushOptions{
 		Retries:    retries,
@@ -176,25 +185,25 @@ func pushLog(serverURL, path, token string, retries int, timeout, maxElapsed tim
 	if err != nil {
 		var rej *server.RejectedError
 		if errors.As(err, &rej) {
-			fmt.Fprintln(os.Stderr, "dragprof:", err)
+			fmt.Fprintln(stderr, "dragprof:", err)
 			if rej.Status == http.StatusUnauthorized {
 				return cli.ExitAuth
 			}
 			return cli.ExitFailure
 		}
-		fmt.Fprintf(os.Stderr, "dragprof: push: %v (log kept at %s, re-push when the server returns)\n", err, path)
+		fmt.Fprintf(stderr, "dragprof: push: %v (log kept at %s, re-push when the server returns)\n", err, path)
 		return cli.ExitNetwork
 	}
 	switch {
 	case resp.Duplicate:
-		fmt.Fprintf(os.Stderr, "dragprof: pushed to %s: already stored as run %s\n", serverURL, resp.Run.ID)
+		fmt.Fprintf(stderr, "dragprof: pushed to %s: already stored as run %s\n", serverURL, resp.Run.ID)
 	default:
-		fmt.Fprintf(os.Stderr, "dragprof: pushed to %s: stored as run %s\n", serverURL, resp.Run.ID)
+		fmt.Fprintf(stderr, "dragprof: pushed to %s: stored as run %s\n", serverURL, resp.Run.ID)
 	}
 	return cli.ExitOK
 }
 
-func fail(err error, code int) int {
-	fmt.Fprintln(os.Stderr, "dragprof:", err)
+func fail(stderr io.Writer, err error, code int) int {
+	fmt.Fprintln(stderr, "dragprof:", err)
 	return code
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dragprof/internal/profile"
+	"dragprof/internal/vm"
 )
 
 // binlogGolden pins one profiled run: the SHA-256 of its uncompressed
@@ -21,7 +22,8 @@ type binlogGolden struct {
 // which is blind to how the recorder numbers chains or orders trailers; these
 // hashes pin the recorder's output itself, byte for byte, so a change to the
 // VM's event path that renumbers one chain id, moves one clock value or
-// drops one use event fails here. Beside each log they pin the executed
+// drops one use event fails here. The gen/ entries are exact runs under the
+// generational collector. Beside each log they pin the executed
 // instruction count, the runtime-unit cost and a hash of the program
 // output, so the interpreter cannot trade work for speed unnoticed.
 var goldenBinaryLogs = map[string]binlogGolden{
@@ -34,6 +36,9 @@ var goldenBinaryLogs = map[string]binlogGolden{
 	"exact/juru":       {"5b2660560efbe6494b0c94ac05c5332e8f32d2315058b4740f2023a162958f8f", 3109968, 7996877, "e51a4c7ab7b0c916d3dbafcfb844feebd44ecb995697e478f6be170ba275207a"},
 	"exact/mc":         {"483f6c54553c1d5b954043724a48691c16c8fc36c77481e4b919b1eccf960148", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
 	"exact/raytrace":   {"d26827f7fc163647a12c7340390aee963983eef2911e86575713020e1753c489", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
+	"gen/jack":         {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18299034, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"gen/javac":        {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10148779, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"gen/jess":         {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5722457, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
 	"sampled/analyzer": {"7cf4c70e5a0cf6ccb2b0ff4db060db310de5fc3b1fa3f04c8aab3088c2aa9010", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
 	"sampled/db":       {"ce2deca927e88a9668135ec878d4633d57cfa94f6f77cbcd893bdab284fc88a7", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
 	"sampled/euler":    {"6a692be7685b58472b662dcd8369af6ae3d05fd8106198b3e081e6dc8b421028", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
@@ -59,6 +64,19 @@ func TestGoldenBinaryLogs(t *testing.T) {
 			t.Fatal(err)
 		}
 		got["sampled/"+name] = binlogOf(t, r)
+	}
+	// The generational collector takes minor collections at safepoints,
+	// a path the mark-sweep runs above never reach.
+	for _, name := range []string{"javac", "jack", "jess"} {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Run(b, Original, OriginalInput, RunConfig{Collector: vm.Generational})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got["gen/"+name] = binlogOf(t, r)
 	}
 
 	keys := make([]string, 0, len(got))

@@ -92,16 +92,22 @@ func TestAllocBytesBudget(t *testing.T) {
 }
 
 func TestAllocBudgetDeterministic(t *testing.T) {
-	var used [2]int64
+	var used, instrs [2]int64
 	for i := range used {
 		m := compileBudgetCfg(t, allocLoop, vm.Config{
 			Budgets: vm.Budgets{AllocBytes: 1 << 20},
 		})
 		be := wantBudgetError(t, m.Run(), vm.BudgetAllocBytes)
 		used[i] = be.Used
+		instrs[i] = m.CostReport().Instructions
 	}
 	if used[0] != used[1] {
 		t.Errorf("alloc budget abort nondeterministic: %d vs %d", used[0], used[1])
+	}
+	// The abort lands on the safepoint right after the allocation that
+	// crossed the budget, at one exact instruction.
+	if instrs[0] != instrs[1] || instrs[0] != 4088 {
+		t.Errorf("instructions at the abort = %d and %d, want 4088", instrs[0], instrs[1])
 	}
 }
 
@@ -158,6 +164,11 @@ func TestContextCancellation(t *testing.T) {
 	be := wantBudgetError(t, m.Run(), vm.BudgetCanceled)
 	if !errors.Is(be, context.Canceled) {
 		t.Errorf("BudgetError should unwrap to context.Canceled, got %v", be.Cause)
+	}
+	// A context canceled before the run halts it at the first
+	// wall-clock/context poll, after exactly that many instructions.
+	if got := m.CostReport().Instructions; got != 1024 {
+		t.Errorf("instructions at the cancellation = %d, want 1024", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -471,8 +472,12 @@ class Main {
 	if err != nil {
 		t.Fatalf("vm.New: %v", err)
 	}
-	if err := m.Run(); err == nil {
-		t.Fatal("expected step-budget error")
+	if err := m.Run(); !errors.Is(err, vm.ErrStepBudget) {
+		t.Fatalf("Run() = %v, want ErrStepBudget", err)
+	}
+	// The instruction that would exceed the budget is counted, not run.
+	if got := m.CostReport().Instructions; got != 10001 {
+		t.Errorf("instructions at the halt = %d, want 10001", got)
 	}
 }
 
