@@ -96,7 +96,7 @@ func (vm *VM) checkBudgets() {
 			return
 		}
 	}
-	if vm.steps%budgetPollSteps != 0 {
+	if vm.cost.Instructions%budgetPollSteps != 0 {
 		return
 	}
 	if b.Context != nil {
@@ -112,7 +112,4 @@ func (vm *VM) checkBudgets() {
 	}
 }
 
-func (vm *VM) haltBudget(err *BudgetError) {
-	vm.halted = true
-	vm.haltErr = err
-}
+func (vm *VM) haltBudget(err *BudgetError) { vm.halt(err) }

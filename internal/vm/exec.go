@@ -2,20 +2,228 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"dragprof/internal/bytecode"
 	"dragprof/internal/heap"
 )
 
-// exec interprets one instruction of frame f.
+// interpret is the VM's one dispatch loop. It runs the frames above depth
+// base until the frame at base returns (nil) or the VM halts (the halt
+// error).
+//
+// The loop keeps the top frame's code, locals, operand stack, pc and the
+// instruction count in local variables, and executes the hottest opcodes
+// inline; every other opcode goes through exec. Before anything outside
+// the loop can observe the VM (exec, a throw, a use event, the slow path)
+// park writes that state back, and after an out-of-line instruction the
+// loop reloads it from whatever frame is then on top.
+//
+// Each instruction pays one check of the poll word: when the instruction
+// count reaches vm.pollAt the loop leaves the fast path for poll, the
+// safepoint between instructions. Events that need a safepoint set pollAt
+// to 0 (see rearm), so the check also covers them.
+func (vm *VM) interpret(base int) error {
+	if vm.halted {
+		return vm.haltErr
+	}
+	if vm.cost.Instructions >= vm.maxSteps {
+		// The first instruction would exceed the step budget: it is
+		// counted, not run.
+		vm.cost.Instructions++
+		vm.halt(ErrStepBudget)
+		return vm.haltErr
+	}
+loop:
+	for {
+		f := vm.top()
+		code, locals := f.m.Code, f.locals
+		st, sp, pc := f.stack[:cap(f.stack)], len(f.stack), f.pc
+		steps := vm.cost.Instructions
+	fast:
+		for {
+			at := pc
+			in := &code[at]
+			pc++
+			steps++
+			switch in.Op {
+			case bytecode.LoadLocal:
+				if sp == len(st) {
+					vm.growStack(f, at, st[:sp], steps-1)
+					continue loop
+				}
+				st[sp] = locals[in.A]
+				sp++
+			case bytecode.StoreLocal:
+				sp--
+				locals[in.A] = st[sp]
+			case bytecode.ConstInt, bytecode.ConstBool, bytecode.ConstChar:
+				if sp == len(st) {
+					vm.growStack(f, at, st[:sp], steps-1)
+					continue loop
+				}
+				st[sp] = heap.IntValue(int64(in.A))
+				sp++
+
+			case bytecode.Add:
+				sp--
+				st[sp-1] = heap.IntValue(st[sp-1].I + st[sp].I)
+			case bytecode.Rem:
+				sp--
+				if st[sp].I == 0 {
+					vm.park(f, at, pc, st[:sp-1], steps)
+					vm.throwByName("ArithmeticException", "division by zero")
+					break fast
+				}
+				st[sp-1] = heap.IntValue(st[sp-1].I % st[sp].I)
+			case bytecode.CmpLT:
+				sp--
+				st[sp-1] = heap.BoolValue(st[sp-1].I < st[sp].I)
+
+			case bytecode.Jump:
+				pc = int(in.A)
+			case bytecode.JumpIfFalse:
+				sp--
+				if st[sp].I == 0 {
+					pc = int(in.A)
+				}
+
+			case bytecode.GetField:
+				recv := st[sp-1].H
+				if recv.IsNull() {
+					vm.park(f, at, pc, st[:sp-1], steps)
+					vm.throwByName("NullPointerException", "field read")
+					break fast
+				}
+				o := vm.hp.Get(recv)
+				st[sp-1] = o.Slots[in.A]
+				if vm.observes(o) {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.emitUse(recv, o, UseGetField, in.Line)
+					break fast
+				}
+			case bytecode.PutField:
+				sp -= 2
+				recv, val := st[sp].H, st[sp+1]
+				if recv.IsNull() {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.throwByName("NullPointerException", "field write")
+					break fast
+				}
+				o := vm.hp.Get(recv)
+				o.Slots[in.A] = val
+				if vm.bar != nil && val.IsRef {
+					vm.bar.WriteBarrier(recv, val.H)
+				}
+				if vm.observes(o) {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.emitUse(recv, o, UsePutField, in.Line)
+					break fast
+				}
+
+			case bytecode.ArrayLoad:
+				sp--
+				arr, idx := st[sp-1].H, st[sp].I
+				if arr.IsNull() {
+					vm.park(f, at, pc, st[:sp-1], steps)
+					vm.throwByName("NullPointerException", "array read")
+					break fast
+				}
+				o := vm.hp.Get(arr)
+				if idx < 0 || int(idx) >= o.Len() {
+					vm.park(f, at, pc, st[:sp-1], steps)
+					vm.throwBounds(idx, o.Len())
+					break fast
+				}
+				st[sp-1] = o.Get(int(idx))
+				if vm.observes(o) {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.emitUse(arr, o, UseArray, in.Line)
+					break fast
+				}
+			case bytecode.ArrayStore:
+				sp -= 3
+				arr, idx, val := st[sp].H, st[sp+1].I, st[sp+2]
+				if arr.IsNull() {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.throwByName("NullPointerException", "array write")
+					break fast
+				}
+				o := vm.hp.Get(arr)
+				if idx < 0 || int(idx) >= o.Len() {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.throwBounds(idx, o.Len())
+					break fast
+				}
+				o.Set(int(idx), val)
+				if vm.bar != nil && val.IsRef {
+					vm.bar.WriteBarrier(arr, val.H)
+				}
+				if vm.observes(o) {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.emitUse(arr, o, UseArray, in.Line)
+					break fast
+				}
+			case bytecode.ArrayLen:
+				arr := st[sp-1].H
+				if arr.IsNull() {
+					vm.park(f, at, pc, st[:sp-1], steps)
+					vm.throwByName("NullPointerException", "array length")
+					break fast
+				}
+				o := vm.hp.Get(arr)
+				st[sp-1] = heap.IntValue(int64(o.Len()))
+				if vm.observes(o) {
+					vm.park(f, at, pc, st[:sp], steps)
+					vm.emitUse(arr, o, UseArray, in.Line)
+					break fast
+				}
+
+			default:
+				vm.park(f, at, pc, st[:sp], steps)
+				vm.exec(f, *in)
+				break fast
+			}
+			if steps >= vm.pollAt {
+				vm.park(f, at, pc, st[:sp], steps)
+				break fast
+			}
+		}
+		if vm.cost.Instructions >= vm.pollAt && vm.poll(base) {
+			return vm.haltErr
+		}
+		if len(vm.frames) <= base {
+			return nil
+		}
+	}
+}
+
+// park writes the interpreter loop's registers back: the frame's pc, the
+// pc of the instruction it is executing (lastpc) and its operand stack, and
+// the VM's instruction count.
+func (vm *VM) park(f *frame, at, pc int, stack []heap.Value, steps int64) {
+	f.lastpc, f.pc, f.stack = at, pc, stack
+	vm.cost.Instructions = steps
+}
+
+// growStack makes room on f's full operand stack and rewinds the loop to
+// the instruction at, uncounted, which runs again once the loop reloads
+// the frame.
+func (vm *VM) growStack(f *frame, at int, stack []heap.Value, steps int64) {
+	vm.park(f, at, at, slices.Grow(stack, 1), steps)
+}
+
+// throwBounds raises IndexOutOfBoundsException for an array access.
+func (vm *VM) throwBounds(idx int64, n int) {
+	vm.throwByName("IndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", idx, n))
+}
+
+// exec interprets one instruction of frame f that the loop does not run
+// inline.
 func (vm *VM) exec(f *frame, in bytecode.Instr) {
 	switch in.Op {
 	case bytecode.Nop:
 
-	case bytecode.ConstInt, bytecode.ConstChar:
-		f.push(heap.IntValue(int64(in.A)))
-	case bytecode.ConstBool:
-		f.push(heap.IntValue(int64(in.A)))
 	case bytecode.ConstNull:
 		f.push(heap.Null)
 	case bytecode.ConstStr:
@@ -25,32 +233,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 			return
 		}
 		f.push(heap.RefValue(h))
-
-	case bytecode.LoadLocal:
-		f.push(f.locals[in.A])
-	case bytecode.StoreLocal:
-		f.locals[in.A] = f.pop()
-
-	case bytecode.GetField:
-		recv := f.pop()
-		o := vm.deref(recv, "field read")
-		if o == nil {
-			return
-		}
-		vm.emitUse(recv.H, o, UseGetField, in.Line)
-		f.push(o.Slots[in.A])
-	case bytecode.PutField:
-		val := f.pop()
-		recv := f.pop()
-		o := vm.deref(recv, "field write")
-		if o == nil {
-			return
-		}
-		vm.emitUse(recv.H, o, UsePutField, in.Line)
-		o.Slots[in.A] = val
-		if vm.bar != nil && val.IsRef {
-			vm.bar.WriteBarrier(recv.H, val.H)
-		}
 
 	case bytecode.GetStatic:
 		f.push(vm.statics[in.B][in.A])
@@ -99,45 +281,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		vm.noteRegion(f, h)
 		f.push(heap.RefValue(h))
 
-	case bytecode.ArrayLoad:
-		idx := f.pop().I
-		arr := f.pop()
-		o := vm.deref(arr, "array read")
-		if o == nil {
-			return
-		}
-		if idx < 0 || int(idx) >= o.Len() {
-			vm.throwByName("IndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", idx, o.Len()))
-			return
-		}
-		vm.emitUse(arr.H, o, UseArray, in.Line)
-		f.push(o.Get(int(idx)))
-	case bytecode.ArrayStore:
-		val := f.pop()
-		idx := f.pop().I
-		arr := f.pop()
-		o := vm.deref(arr, "array write")
-		if o == nil {
-			return
-		}
-		if idx < 0 || int(idx) >= o.Len() {
-			vm.throwByName("IndexOutOfBoundsException", fmt.Sprintf("index %d, length %d", idx, o.Len()))
-			return
-		}
-		vm.emitUse(arr.H, o, UseArray, in.Line)
-		o.Set(int(idx), val)
-		if vm.bar != nil && val.IsRef {
-			vm.bar.WriteBarrier(arr.H, val.H)
-		}
-	case bytecode.ArrayLen:
-		arr := f.pop()
-		o := vm.deref(arr, "array length")
-		if o == nil {
-			return
-		}
-		vm.emitUse(arr.H, o, UseArray, in.Line)
-		f.push(heap.IntValue(int64(o.Len())))
-
 	case bytecode.InvokeVirtual:
 		vm.invokeVirtual(f, in)
 	case bytecode.InvokeStatic:
@@ -164,12 +307,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 	case bytecode.ReturnValue:
 		vm.popReturn(f.pop(), true)
 
-	case bytecode.Jump:
-		f.pc = int(in.A)
-	case bytecode.JumpIfFalse:
-		if f.pop().I == 0 {
-			f.pc = int(in.A)
-		}
 	case bytecode.JumpIfTrue:
 		if f.pop().I != 0 {
 			f.pc = int(in.A)
@@ -183,9 +320,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 			f.pc = int(in.A)
 		}
 
-	case bytecode.Add:
-		b, a := f.pop().I, f.pop().I
-		f.push(heap.IntValue(a + b))
 	case bytecode.Sub:
 		b, a := f.pop().I, f.pop().I
 		f.push(heap.IntValue(a - b))
@@ -199,13 +333,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 			return
 		}
 		f.push(heap.IntValue(a / b))
-	case bytecode.Rem:
-		b, a := f.pop().I, f.pop().I
-		if b == 0 {
-			vm.throwByName("ArithmeticException", "division by zero")
-			return
-		}
-		f.push(heap.IntValue(a % b))
 	case bytecode.Neg:
 		f.push(heap.IntValue(-f.pop().I))
 
@@ -215,9 +342,6 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 	case bytecode.CmpNE:
 		b, a := f.pop().I, f.pop().I
 		f.push(heap.BoolValue(a != b))
-	case bytecode.CmpLT:
-		b, a := f.pop().I, f.pop().I
-		f.push(heap.BoolValue(a < b))
 	case bytecode.CmpLE:
 		b, a := f.pop().I, f.pop().I
 		f.push(heap.BoolValue(a <= b))

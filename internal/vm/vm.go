@@ -181,9 +181,13 @@ type VM struct {
 	rng        uint64
 	cost       Cost
 	maxSteps   int64
-	steps      int64
 	gcInterval int64
 	lastDeep   int64
+
+	// pollAt is the poll word: the interpreter loop leaves its fast path
+	// once cost.Instructions reaches it. rearm sets it; halting, and an
+	// allocation that makes a safepoint due, set it to 0.
+	pollAt int64
 
 	budgets       Budgets
 	budgetsActive bool
@@ -371,14 +375,8 @@ func (vm *VM) callSync(m *bytecode.Method, args []heap.Value, chain int32) (heap
 	vm.barriers = append(vm.barriers, base)
 	defer func() { vm.barriers = vm.barriers[:len(vm.barriers)-1] }()
 	vm.pushFrame(m, args, chain)
-	for len(vm.frames) > base {
-		if vm.halted {
-			return heap.Value{}, vm.haltErr
-		}
-		vm.step()
-	}
-	if vm.halted {
-		return heap.Value{}, vm.haltErr
+	if err := vm.interpret(base); err != nil {
+		return heap.Value{}, err
 	}
 	res := vm.lastResult
 	vm.hasResult = false
@@ -453,34 +451,46 @@ func (vm *VM) popFrame() {
 	f.region = nil
 }
 
+// halt stops the VM with err; the interpreter loop returns it at its next
+// poll.
+func (vm *VM) halt(err error) {
+	vm.halted, vm.haltErr = true, err
+	vm.pollAt = 0
+}
+
 // fatal halts the VM with an unrecoverable error.
 func (vm *VM) fatal(format string, args ...any) {
-	vm.halted = true
-	vm.haltErr = fmt.Errorf("vm: %s", fmt.Sprintf(format, args...))
+	vm.halt(fmt.Errorf("vm: %s", fmt.Sprintf(format, args...)))
 }
 
 // ErrStepBudget reports MaxSteps exhaustion.
 var ErrStepBudget = errors.New("vm: step budget exhausted (possible non-termination)")
 
-func (vm *VM) step() {
-	f := vm.top()
-	vm.steps++
-	vm.cost.Instructions++
-	if vm.steps > vm.maxSteps {
-		vm.halted = true
-		vm.haltErr = ErrStepBudget
-		return
+// poll is the interpreter loop's slow path, run after an instruction when
+// the instruction count reaches the poll word. Unless the VM has halted it
+// runs the safepoint; then, if the step budget is spent and the loop would
+// go on, it halts with ErrStepBudget, counting the instruction it would
+// have run next. It re-arms the poll word and reports whether the VM has
+// halted.
+func (vm *VM) poll(base int) bool {
+	if !vm.halted {
+		vm.safepoint()
 	}
-	f.lastpc = f.pc
-	in := f.m.Code[f.pc]
-	f.pc++
-	vm.exec(f, in)
-	if vm.halted {
-		return
+	if !vm.halted && vm.cost.Instructions >= vm.maxSteps && len(vm.frames) > base {
+		vm.cost.Instructions++
+		vm.halt(ErrStepBudget)
 	}
-	// Safepoint: deferred collections run only between instructions,
-	// when every live reference is rooted in a frame. Nested triggers
-	// are suppressed while a collection (or its finalizers) is running.
+	vm.rearm()
+	return vm.halted
+}
+
+// safepoint runs the work deferred to the gap between two instructions,
+// when every live reference is rooted in a frame: a pending minor
+// collection, the deep GC the allocation clock calls for, and the budget
+// checks. Nested triggers are suppressed while a collection (or its
+// finalizers) is running. With nothing due it does nothing, so an extra
+// poll is harmless.
+func (vm *VM) safepoint() {
 	if vm.inGC {
 		return
 	}
@@ -498,6 +508,36 @@ func (vm *VM) step() {
 	if vm.budgetsActive {
 		vm.checkBudgets()
 	}
+}
+
+// due reports whether the next safepoint has work to do besides the
+// periodic wall-clock/context poll: a pending minor collection, a deep GC
+// the allocation clock calls for, or an exceeded allocation or live-heap
+// budget. Only an allocation can make it true.
+func (vm *VM) due() bool {
+	b := &vm.budgets
+	return vm.pendingMinor ||
+		vm.gcInterval > 0 && vm.hp.Clock()-vm.lastDeep >= vm.gcInterval ||
+		b.AllocBytes > 0 && vm.cost.AllocBytes > b.AllocBytes ||
+		b.HeapLiveBytes > 0 && vm.hp.Used() > b.HeapLiveBytes
+}
+
+// rearm sets the poll word after a poll: 0 (poll after the next
+// instruction) while the VM is halted or a safepoint is due, else the
+// instruction count at which the step budget runs out or, with budgets
+// set, the next wall-clock/context poll falls. While a collection runs,
+// a due safepoint keeps polling its finalizers' every instruction, so the
+// interrupted loop still sees it once the collection ends.
+func (vm *VM) rearm() {
+	if vm.halted || vm.due() {
+		vm.pollAt = 0
+		return
+	}
+	at := vm.maxSteps
+	if vm.budgetsActive {
+		at = min(at, (vm.cost.Instructions/budgetPollSteps+1)*budgetPollSteps)
+	}
+	vm.pollAt = at
 }
 
 // DeepGC performs the paper's deep collection: collect, run finalizers,
@@ -598,6 +638,9 @@ func (vm *VM) noteAlloc(h heap.Handle, site int32, interned bool) {
 	if g, ok := vm.col.(*gc.Generational); ok && g.NurseryFull() {
 		vm.pendingMinor = true
 	}
+	if vm.due() {
+		vm.pollAt = 0
+	}
 	if vm.listener != nil {
 		if vm.sampler != nil {
 			// Byte-weighted sampling: count the object's bytes down; an
@@ -612,6 +655,12 @@ func (vm *VM) noteAlloc(h heap.Handle, site int32, interned bool) {
 	}
 }
 
+// observes reports whether a use of o raises a use event: a listener is
+// set, and either every object is profiled or the sampler selected o.
+func (vm *VM) observes(o *heap.Object) bool {
+	return vm.listener != nil && (vm.sampler == nil || o.Sampled)
+}
+
 func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
 	if vm.listener == nil || h.IsNull() {
 		return
@@ -622,7 +671,7 @@ func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
 			return
 		}
 	}
-	if vm.sampler != nil && !o.Sampled {
+	if !vm.observes(o) {
 		return
 	}
 	vm.listener.Use(h, o, vm.curChain(), vm.hp.Clock(), kind)
@@ -697,11 +746,10 @@ func (vm *VM) throwHandle(exc heap.Handle) {
 		name = vm.prog.Classes[excClass].Name
 	}
 	msg := vm.throwableMessage(exc)
-	vm.halted = true
 	if msg != "" {
-		vm.haltErr = fmt.Errorf("%w: %s: %s", errUncaught, name, msg)
+		vm.halt(fmt.Errorf("%w: %s: %s", errUncaught, name, msg))
 	} else {
-		vm.haltErr = fmt.Errorf("%w: %s", errUncaught, name)
+		vm.halt(fmt.Errorf("%w: %s", errUncaught, name))
 	}
 }
 
