@@ -84,7 +84,7 @@ func (e *BudgetError) Unwrap() error { return e.Cause }
 func (vm *VM) checkBudgets() {
 	b := &vm.budgets
 	if b.AllocBytes > 0 && vm.cost.AllocBytes > b.AllocBytes {
-		vm.haltBudget(&BudgetError{Kind: BudgetAllocBytes, Limit: b.AllocBytes, Used: vm.cost.AllocBytes})
+		vm.halt(&BudgetError{Kind: BudgetAllocBytes, Limit: b.AllocBytes, Used: vm.cost.AllocBytes})
 		return
 	}
 	if b.HeapLiveBytes > 0 && vm.hp.Used() > b.HeapLiveBytes {
@@ -92,7 +92,7 @@ func (vm *VM) checkBudgets() {
 		// proves the budget is really exceeded.
 		vm.DeepGC()
 		if vm.hp.Used() > b.HeapLiveBytes {
-			vm.haltBudget(&BudgetError{Kind: BudgetHeapLive, Limit: b.HeapLiveBytes, Used: vm.hp.Used()})
+			vm.halt(&BudgetError{Kind: BudgetHeapLive, Limit: b.HeapLiveBytes, Used: vm.hp.Used()})
 			return
 		}
 	}
@@ -101,15 +101,13 @@ func (vm *VM) checkBudgets() {
 	}
 	if b.Context != nil {
 		if err := b.Context.Err(); err != nil {
-			vm.haltBudget(&BudgetError{Kind: BudgetCanceled, Cause: err})
+			vm.halt(&BudgetError{Kind: BudgetCanceled, Cause: err})
 			return
 		}
 	}
 	if b.WallClock > 0 {
 		if elapsed := time.Since(vm.started); elapsed > b.WallClock {
-			vm.haltBudget(&BudgetError{Kind: BudgetWallClock, Limit: int64(b.WallClock), Used: int64(elapsed)})
+			vm.halt(&BudgetError{Kind: BudgetWallClock, Limit: int64(b.WallClock), Used: int64(elapsed)})
 		}
 	}
 }
-
-func (vm *VM) haltBudget(err *BudgetError) { vm.halt(err) }
