@@ -76,7 +76,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"uncaught exception", []string{throws}, cli.ExitRuntime, "before\n", "RuntimeException: boom", true},
 		{"allocation budget", []string{"-max-alloc", "100000", allocs}, cli.ExitBudget, "", "alloc-bytes budget exhausted", true},
 		{"server unreachable", []string{"-bench", "jess", "-push", closedURL(t), "-push-retries", "0"},
-			cli.ExitNetwork, "", "log kept at", true},
+			cli.ExitNetwork, "", "after 1 attempts", true},
 	}
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

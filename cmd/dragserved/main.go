@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -62,31 +63,40 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	addr := flag.String("addr", ":8357", "listen address")
-	data := flag.String("data", "dragserved-data", "store directory")
-	workers := flag.Int("workers", 0, "analysis workers per request (0: GOMAXPROCS)")
-	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request timeout for query endpoints")
-	maxUpload := flag.Int64("max-upload", 1<<30, "maximum upload size in bytes")
-	maxInflight := flag.Int("max-inflight", 64, "maximum concurrent ingest requests before shedding with 429")
-	shards := flag.Int("shards", 1, "shard directories per new store (an existing store keeps its count)")
-	heartbeat := flag.Duration("heartbeat", 15*time.Second, "keep-alive comment interval on /watch SSE streams")
-	tenantsFile := flag.String("tenants", "", "JSON tenant config enabling bearer-token multi-tenant mode")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: dragserved [flags]")
-		flag.PrintDefaults()
+// run is dragserved with its arguments and output streams; it returns the
+// exit code. The daemon writes only to stderr; stdout is unused.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dragserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8357", "listen address")
+	data := fs.String("data", "dragserved-data", "store directory")
+	workers := fs.Int("workers", 0, "analysis workers per request (0: GOMAXPROCS)")
+	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request timeout for query endpoints")
+	maxUpload := fs.Int64("max-upload", 1<<30, "maximum upload size in bytes")
+	maxInflight := fs.Int("max-inflight", 64, "maximum concurrent ingest requests before shedding with 429")
+	shards := fs.Int("shards", 1, "shard directories per new store (an existing store keeps its count)")
+	heartbeat := fs.Duration("heartbeat", 15*time.Second, "keep-alive comment interval on /watch SSE streams")
+	tenantsFile := fs.String("tenants", "", "JSON tenant config enabling bearer-token multi-tenant mode")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "usage: dragserved [flags]")
+		fs.PrintDefaults()
 		return cli.ExitUsage
 	}
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "dragserved: -shards %d: want at least 1\n", *shards)
+		fmt.Fprintf(stderr, "dragserved: -shards %d: want at least 1\n", *shards)
 		return cli.ExitUsage
 	}
 
-	logger := log.New(os.Stderr, "dragserved: ", log.LstdFlags)
+	logger := log.New(stderr, "dragserved: ", log.LstdFlags)
 	openRoot := func(dir string) (store.RunStore, error) { return store.OpenSharded(dir, *shards) }
 	opts := server.Options{
 		Workers:           *workers,

@@ -17,8 +17,8 @@ func profileWriteBinary(w io.Writer, p *profile.Profile) error {
 // BenchmarkIngest measures the dragserved ingest path — spool + hash +
 // block-sharded aggregation + content-addressed commit — over a real
 // workload log, at several worker counts. Each iteration ingests into a
-// fresh store so commit costs (rename, canonical dump) are measured, not
-// amortized away by deduplication.
+// fresh store so commit costs (log rename, durable metadata write, directory
+// fsyncs) are measured, not amortized away by deduplication.
 func BenchmarkIngest(b *testing.B) {
 	p := benchProfile(b)
 	var bin bytes.Buffer

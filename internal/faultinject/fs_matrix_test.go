@@ -14,6 +14,7 @@ import (
 
 	"dragprof/internal/bench"
 	"dragprof/internal/bytecode"
+	"dragprof/internal/drag"
 	"dragprof/internal/faultinject"
 	"dragprof/internal/profile"
 	"dragprof/internal/store"
@@ -76,9 +77,11 @@ func runChaosScenario(dir string, fsys store.FS, w chaosWorkload) []ackedRun {
 		if err != nil {
 			return
 		}
-		if a.Canonical, err = st.Canonical(res.Meta.ID); err != nil {
+		rep, err := st.Report(res.Meta.ID, drag.Options{}, 0)
+		if err != nil {
 			return
 		}
+		a.Canonical = rep.CanonicalDump()
 		acked = append(acked, a)
 	}
 	for _, log := range w.clean {
@@ -128,10 +131,11 @@ func verifyCrashedStore(t *testing.T, dir string, acked []ackedRun) []store.Quar
 		if !bytes.Equal(got, a.Log) {
 			t.Fatalf("acknowledged run %s log differs after crash", a.ID[:12])
 		}
-		canon, err := st.Canonical(m.ID)
+		canonRep, err := st.Report(m.ID, drag.Options{}, 0)
 		if err != nil {
 			t.Fatalf("acknowledged run %s canonical: %v", a.ID[:12], err)
 		}
+		canon := canonRep.CanonicalDump()
 		if !bytes.Equal(canon, a.Canonical) {
 			t.Fatalf("acknowledged run %s canonical report differs after crash", a.ID[:12])
 		}

@@ -379,7 +379,7 @@ func pushAndDiff(ctx context.Context, opts Options, wr *WorkloadResult, headProf
 	if err := profile.WriteBinaryLog(&buf, headProf, profile.BinaryOptions{}); err != nil {
 		return fmt.Errorf("encoding rewritten-run log: %w", err)
 	}
-	resp, err := opts.Client.PushReader(ctx, buf.Bytes(), server.PushOptions{})
+	resp, err := opts.Client.PushReader(ctx, buf.Bytes(), server.PushOptions{Retries: 3})
 	if err != nil {
 		return fmt.Errorf("pushing rewritten run: %w", err)
 	}

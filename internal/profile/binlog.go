@@ -16,7 +16,8 @@ import (
 //	magic    "dplg" (4 bytes)
 //	version  1 byte (3)
 //	flags    1 byte (bit0: the rest of the file is one gzip stream;
-//	         bit1: CRC32C footers and checkpoints are present;
+//	         bit1: CRC32C footers and checkpoints are present, set in
+//	         every log and required by the reader;
 //	         bit2: a sample-rate field follows gcinterval)
 //	-- body, optionally gzipped --
 //	name       string            (uvarint length + bytes)
@@ -33,11 +34,11 @@ import (
 //	chains     uvarint count; per node: zigzag parent, method, line
 //	records    uvarint total count, uvarint block count, then blocks
 //
-// When the CRC flag is set (always, for logs this package writes), the
-// table section — everything from the body start through the block-count
-// varint — is followed by a 4-byte little-endian CRC32C footer, every
-// record block carries its own 4-byte CRC32C footer, and a checkpoint
-// frame follows every checkpointEveryBlocks-th block (except the last):
+// The table section — everything from the body start through the
+// block-count varint — is followed by a 4-byte little-endian CRC32C
+// footer, every record block carries its own 4-byte CRC32C footer, and a
+// checkpoint frame follows every checkpointEveryBlocks-th block (except
+// the last):
 //
 //	checkpoint: uvarint cumulative-record-count, 4-byte CRC32C
 //
@@ -52,7 +53,7 @@ import (
 // reader can decode blocks on independent CPUs; each block is
 //
 //	uvarint record count, uvarint payload byte length, payload
-//	[4-byte CRC32C over the two varints and the payload, when flagged]
+//	4-byte CRC32C over the two varints and the payload
 //
 // and the payload is a sequence of delta-encoded trailers whose delta
 // state resets at every block boundary (a block decodes with no context
@@ -162,7 +163,7 @@ func WriteBinaryLog(w io.Writer, p *Profile, opts BinaryOptions) error {
 }
 
 func writeBinaryBody(w io.Writer, p *Profile, opts BinaryOptions) error {
-	enc := &binEncoder{w: w, crcOn: true}
+	enc := &binEncoder{w: w}
 	enc.str(p.Name)
 	enc.zig(p.FinalClock)
 	enc.zig(p.GCInterval)
@@ -213,20 +214,17 @@ func writeBinaryBody(w io.Writer, p *Profile, opts BinaryOptions) error {
 }
 
 type binEncoder struct {
-	w     io.Writer
-	buf   [binary.MaxVarintLen64]byte
-	crc   uint32
-	crcOn bool
-	err   error
+	w   io.Writer
+	buf [binary.MaxVarintLen64]byte
+	crc uint32
+	err error
 }
 
 func (e *binEncoder) write(b []byte) {
 	if e.err != nil {
 		return
 	}
-	if e.crcOn {
-		e.crc = crc32.Update(e.crc, castagnoli, b)
-	}
+	e.crc = crc32.Update(e.crc, castagnoli, b)
 	_, e.err = e.w.Write(b)
 }
 
@@ -255,9 +253,7 @@ func (e *binEncoder) str(s string) {
 	if e.err != nil {
 		return
 	}
-	if e.crcOn {
-		e.crc = crc32.Update(e.crc, castagnoli, []byte(s))
-	}
+	e.crc = crc32.Update(e.crc, castagnoli, []byte(s))
 	_, e.err = io.WriteString(e.w, s)
 }
 

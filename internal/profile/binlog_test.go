@@ -194,6 +194,14 @@ func TestBinaryLogRejectsCorrupt(t *testing.T) {
 			t.Errorf("err = %v", err)
 		}
 	})
+	t.Run("missing-crc-flag", func(t *testing.T) {
+		bad := append([]byte(nil), good...)
+		bad[5] &^= binFlagCRC
+		if _, err := ReadLog(bytes.NewReader(bad)); err == nil ||
+			!strings.Contains(err.Error(), "checksum flag") {
+			t.Errorf("err = %v", err)
+		}
+	})
 	t.Run("truncated", func(t *testing.T) {
 		for _, cut := range []int{7, len(good) / 2, len(good) - 1} {
 			if _, err := ReadLog(bytes.NewReader(good[:cut])); err == nil {

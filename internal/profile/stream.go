@@ -145,8 +145,9 @@ type binReader struct {
 	// off counts bytes consumed from the (decompressed) body.
 	off        int64
 	compressed bool
-	crc        uint32
-	crcOn      bool
+	// crc is the running CRC32C of everything read since it was last
+	// reset, footers excluded.
+	crc uint32
 }
 
 // offset is the error-reporting byte offset: absolute file offset for raw
@@ -165,18 +166,14 @@ func (d *binReader) readByte() (byte, error) {
 		return 0, err
 	}
 	d.off++
-	if d.crcOn {
-		d.crc = crc32.Update(d.crc, castagnoli, []byte{b})
-	}
+	d.crc = crc32.Update(d.crc, castagnoli, []byte{b})
 	return b, nil
 }
 
 func (d *binReader) readFull(p []byte) error {
 	n, err := io.ReadFull(d.r, p)
 	d.off += int64(n)
-	if d.crcOn {
-		d.crc = crc32.Update(d.crc, castagnoli, p[:n])
-	}
+	d.crc = crc32.Update(d.crc, castagnoli, p[:n])
 	return err
 }
 
@@ -207,11 +204,9 @@ func (d *binReader) zig() (int64, error) {
 
 // storedCRC reads a 4-byte little-endian CRC footer without hashing it.
 func (d *binReader) storedCRC() (uint32, error) {
-	save := d.crcOn
-	d.crcOn = false
 	var b [4]byte
-	err := d.readFull(b[:])
-	d.crcOn = save
+	n, err := io.ReadFull(d.r, b[:])
+	d.off += int64(n)
 	if err != nil {
 		return 0, noEOF(err)
 	}
@@ -297,7 +292,9 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 	if flags&^(binFlagGzip|binFlagCRC|binFlagSampled) != 0 {
 		return nil, nil, fmt.Errorf("profile: binary log: unknown flags %#x", flags)
 	}
-	hasCRC := flags&binFlagCRC != 0
+	if flags&binFlagCRC == 0 {
+		return nil, nil, fmt.Errorf("profile: binary log: flags %#x lack the checksum flag every v%d log carries", flags, binVersion)
+	}
 	compressed := flags&binFlagGzip != 0
 	var body io.Reader = br
 	if compressed {
@@ -309,7 +306,7 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 		body = gz
 	}
 	rd := bufio.NewReaderSize(body, 1<<16)
-	d := &binReader{r: rd, compressed: compressed, crcOn: hasCRC}
+	d := &binReader{r: rd, compressed: compressed}
 
 	p := &Profile{}
 	var err error
@@ -390,16 +387,14 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 		return nil, nil, err
 	}
 	tableCRC := d.crc
-	if hasCRC {
-		stored, err := d.storedCRC()
-		if err != nil {
-			return nil, nil, &CorruptLogError{Offset: d.offset(), Block: -1,
-				Reason: "profile: binary log: table checksum truncated", Err: err}
-		}
-		if stored != tableCRC {
-			return nil, nil, &CorruptLogError{Offset: d.offset() - 4, Block: -1,
-				Reason: fmt.Sprintf("profile: binary log: table checksum mismatch (stored %08x, computed %08x)", stored, tableCRC)}
-		}
+	stored, err := d.storedCRC()
+	if err != nil {
+		return nil, nil, &CorruptLogError{Offset: d.offset(), Block: -1,
+			Reason: "profile: binary log: table checksum truncated", Err: err}
+	}
+	if stored != tableCRC {
+		return nil, nil, &CorruptLogError{Offset: d.offset() - 4, Block: -1,
+			Reason: fmt.Sprintf("profile: binary log: table checksum mismatch (stored %08x, computed %08x)", stored, tableCRC)}
 	}
 
 	s := &LogStream{p: p, total: total, blocks: blocks, format: "binary", compressed: compressed}
@@ -425,7 +420,7 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 			}
 			return nil, io.EOF
 		}
-		if hasCRC && s.idx > 0 && s.idx%checkpointEveryBlocks == 0 {
+		if s.idx > 0 && s.idx%checkpointEveryBlocks == 0 {
 			d.crc = tableCRC
 			cum, err := d.uvarint()
 			if err != nil {
@@ -473,16 +468,14 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 				"profile: binary log: block %d payload: %v", s.idx, noEOF(err))
 		}
 		payloadStart := d.offset() - int64(plen)
-		if hasCRC {
-			stored, err := d.storedCRC()
-			if err != nil {
-				return nil, corruptAt(d.offset(), s.idx, seen, err,
-					"profile: binary log: block %d checksum: %v", s.idx, err)
-			}
-			if stored != d.crc {
-				return nil, corruptAt(blockStart, s.idx, seen, nil,
-					"profile: binary log: block %d checksum mismatch (stored %08x, computed %08x)", s.idx, stored, d.crc)
-			}
+		stored, err := d.storedCRC()
+		if err != nil {
+			return nil, corruptAt(d.offset(), s.idx, seen, err,
+				"profile: binary log: block %d checksum: %v", s.idx, err)
+		}
+		if stored != d.crc {
+			return nil, corruptAt(blockStart, s.idx, seen, nil,
+				"profile: binary log: block %d checksum mismatch (stored %08x, computed %08x)", s.idx, stored, d.crc)
 		}
 		n := int(count)
 		idx := s.idx

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dragprof/internal/bench"
+	"dragprof/internal/drag"
 	"dragprof/internal/store"
 )
 
@@ -64,11 +65,11 @@ func pushAllConcurrently(t *testing.T, logs []bench.WorkloadLog, rotate int) ser
 	fp := serverFingerprint{canonicals: make(map[string]string)}
 	for _, m := range st.Runs() {
 		fp.runIDs = append(fp.runIDs, m.ID)
-		canon, err := st.Canonical(m.ID)
+		rep, err := st.Report(m.ID, drag.Options{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp.canonicals[m.ID] = string(canon)
+		fp.canonicals[m.ID] = string(rep.CanonicalDump())
 	}
 	sort.Strings(fp.runIDs)
 	sums, err := st.SiteSummaries(2)

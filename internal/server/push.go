@@ -36,7 +36,8 @@ func (e *RejectedError) Error() string {
 
 // PushOptions tune the client's retry loop.
 type PushOptions struct {
-	// Retries is the number of attempts after the first (default 3).
+	// Retries is the number of attempts after the first: 0 makes one
+	// attempt, and a negative value counts as 0.
 	Retries int
 	// Timeout bounds each attempt (default 60s).
 	Timeout time.Duration
@@ -66,8 +67,6 @@ type PushOptions struct {
 func (o PushOptions) withDefaults() PushOptions {
 	if o.Retries < 0 {
 		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 3
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 60 * time.Second

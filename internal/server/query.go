@@ -39,11 +39,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, m)
 }
 
-// handleReport renders one run's drag report.
+// handleReport renders one run's drag report. Every format is rendered on
+// request from one analysis of the stored log under default options.
 //
-//	?format=canonical (default) — the exact CanonicalDump bytes stored at
-//	        ingest: byte-identical to `draganalyze -format canonical` over
-//	        the same log, the cross-network determinism oracle
+//	?format=canonical (default) — the CanonicalDump bytes: byte-identical
+//	        to `draganalyze -format canonical` over the same log, the
+//	        cross-network determinism oracle
 //	?format=text|json|sarif — the draganalyze renderings (shared code path)
 //	?top=N — site count for text/json/sarif (default 10)
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -67,18 +68,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		top = n
 	}
 
-	if format == "canonical" {
-		dump, err := rs.Canonical(m.ID)
-		if err != nil {
-			s.logger.Printf("report %s: %v", m.ID, err)
-			http.Error(w, "internal store error", http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(dump)
-		return
-	}
-
 	rep, err := rs.Report(m.ID, drag.Options{}, s.workers)
 	if err != nil {
 		s.logger.Printf("report %s: %v", m.ID, err)
@@ -86,6 +75,9 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch format {
+	case "canonical":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(rep.CanonicalDump())
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if m.Salvaged && m.Salvage != nil && !m.Salvage.Clean() {

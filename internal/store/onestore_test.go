@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dragprof/internal/drag"
 	"dragprof/internal/profile"
 )
 
@@ -69,8 +71,8 @@ func (f *countingFile) Write(p []byte) (int, error) {
 }
 
 // TestIngestSpoolsOnce: a clean upload into a 4-shard store is written
-// once — the spool that becomes the stored log — plus its canonical dump
-// and its metadata record, and it lands on its home shard. A damaged
+// once — the spool that becomes the stored log — plus its metadata
+// record, and it lands on its home shard. A damaged
 // upload's salvaged run lands on the home shard of its stored id.
 func TestIngestSpoolsOnce(t *testing.T) {
 	fsys := newCountingFS()
@@ -90,17 +92,13 @@ func TestIngestSpoolsOnce(t *testing.T) {
 	}
 	id := res.Meta.ID
 	home := shardOf(id, 4)
-	canon, err := st.Canonical(id)
-	if err != nil {
-		t.Fatal(err)
-	}
 	meta, err := os.ReadFile(filepath.Join(dir, "shards", shardName(home), "runs", id+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(len(log) + len(canon) + len(meta)); fsys.written != want {
-		t.Fatalf("ingest wrote %d bytes, want %d (upload %d + canonical %d + metadata %d)",
-			fsys.written, want, len(log), len(canon), len(meta))
+	if want := int64(len(log) + len(meta)); fsys.written != want {
+		t.Fatalf("ingest wrote %d bytes, want %d (upload %d + metadata %d)",
+			fsys.written, want, len(log), len(meta))
 	}
 	if n := fsys.creates[filepath.Join(dir, "tmp")]; n != 1 {
 		t.Fatalf("ingest created %d spool files in tmp/, want 1", n)
@@ -124,6 +122,23 @@ func TestIngestSpoolsOnce(t *testing.T) {
 				t.Fatalf("run %s on shard %d: %v, want %v", rid[:12], i, ok, want)
 			}
 		}
+	}
+	// Each committed run is its log and its metadata record, nothing else.
+	var stored []string
+	for i := 0; i < st.NumShards(); i++ {
+		ents, err := os.ReadDir(st.Shard(i).runsDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			stored = append(stored, e.Name())
+		}
+	}
+	sort.Strings(stored)
+	want := []string{id + ".json", id + ".log", sres.Meta.ID + ".json", sres.Meta.ID + ".log"}
+	sort.Strings(want)
+	if strings.Join(stored, " ") != strings.Join(want, " ") {
+		t.Fatalf("shards hold %v, want %v", stored, want)
 	}
 }
 
@@ -270,7 +285,7 @@ func TestCompactKeepsRunCommittedDuringMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := res.Meta
-	for _, ext := range []string{".log", ".canonical", ".json"} {
+	for _, ext := range []string{".log", ".json"} {
 		data, err := os.ReadFile(other.home(second.ID).path(second.ID, ext))
 		if err != nil {
 			t.Fatal(err)
@@ -353,26 +368,28 @@ func moveRun(t *testing.T, dir, id string, from, to int, keep bool, exts ...stri
 	}
 }
 
-// TestRecoveryMovesRunOntoHomeShard: queries look for a run only on its
-// home shard, so recovery moves an intact run found on another shard home
-// and serves it. An interrupted move (data at home, metadata still away)
-// is finished the same way. A second copy of a run already committed at
-// home is quarantined as a duplicate.
-func TestRecoveryMovesRunOntoHomeShard(t *testing.T) {
-	all := []string{".log", ".canonical", ".json"}
+// TestRecoveryQuarantinesOffHomeRun: queries look for a run only on its
+// home shard, so recovery quarantines a run filed on another shard, with
+// its reason, rather than keep a run Get can never find. That holds for a
+// whole run moved away, for a run split across two shards (its log at
+// home is then an orphan) and for a second copy of a run committed at
+// home, which goes on being served from home.
+func TestRecoveryQuarantinesOffHomeRun(t *testing.T) {
+	all := []string{".log", ".json"}
 	for _, tc := range []struct {
 		name  string
 		stage func(t *testing.T, dir, id string, home, away int)
+		kept  bool
 	}{
 		{"whole-run", func(t *testing.T, dir, id string, home, away int) {
 			moveRun(t, dir, id, home, away, false, all...)
-		}},
+		}, false},
 		{"interrupted-move", func(t *testing.T, dir, id string, home, away int) {
-			moveRun(t, dir, id, home, away, false, ".canonical", ".json")
-		}},
+			moveRun(t, dir, id, home, away, false, ".json")
+		}, false},
 		{"duplicate", func(t *testing.T, dir, id string, home, away int) {
 			moveRun(t, dir, id, home, away, true, all...)
-		}},
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -381,10 +398,11 @@ func TestRecoveryMovesRunOntoHomeShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			id := ingestOne(t, st, "alpha", 600, 1)
-			want, err := st.Canonical(id)
+			wantRep, err := st.Report(id, drag.Options{}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := wantRep.CanonicalDump()
 			home := shardOf(id, 4)
 			away := (home + 1) % 4
 			tc.stage(t, dir, id, home, away)
@@ -393,28 +411,32 @@ func TestRecoveryMovesRunOntoHomeShard(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, ext := range all {
+				if _, err := os.Stat(filepath.Join(dir, "shards", shardName(away), "runs", id+ext)); err == nil {
+					t.Errorf("%s left on shard %d", id[:12]+ext, away)
+				}
+			}
+			if r := quarantineReasons(t, re)[id+".json"]; !strings.Contains(r, "off its home shard") {
+				t.Fatalf("off-home metadata: reason %q, want one naming the home shard", r)
+			}
+			if !tc.kept {
+				if re.NumRuns() != 0 || len(re.Runs()) != 0 {
+					t.Fatalf("after reopen: %d runs, want 0", re.NumRuns())
+				}
+				return
+			}
 			if re.NumRuns() != 1 || len(re.Runs()) != 1 {
 				t.Fatalf("after reopen: %d runs, want 1", re.NumRuns())
 			}
 			if _, ok := re.Shard(home).Get(id); !ok {
 				t.Fatalf("run not on its home shard %d", home)
 			}
-			got, err := re.Canonical(id)
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("canonical after reopen: %v", err)
+			gotRep, err := re.Report(id, drag.Options{}, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, ext := range all {
-				if _, err := os.Stat(filepath.Join(dir, "shards", shardName(away), "runs", id+ext)); err == nil {
-					t.Errorf("%s left on shard %d", id[:12]+ext, away)
-				}
-			}
-			reasons := quarantineReasons(t, re)
-			if tc.name == "duplicate" {
-				if r := reasons[id+".json"]; !strings.Contains(r, "duplicate") {
-					t.Fatalf("want a duplicate reason, have %v", reasons)
-				}
-			} else if len(reasons) != 0 {
-				t.Fatalf("intact run quarantined: %v", reasons)
+			if got := gotRep.CanonicalDump(); !bytes.Equal(got, want) {
+				t.Fatal("canonical report changed across reopen")
 			}
 		})
 	}

@@ -1,11 +1,12 @@
 // Recovery: the scan Open runs before the store serves anything. The
 // durable commit protocol (see commit) guarantees that a crash at any
-// point leaves each run either fully present (log + canonical + meta,
-// with the meta written last) or detectably partial. The scan verifies
-// every run against the store's own integrity oracle — the run id is the
-// SHA-256 of the log bytes — and moves anything torn or orphaned into
-// quarantine/ with a machine-readable reason, instead of failing Open or
-// silently serving damaged data.
+// point leaves each run either fully present (log + meta, with the meta
+// written last) or detectably partial. The scan verifies every run against
+// the store's own integrity oracle — the run id is the SHA-256 of the log
+// bytes — and moves anything torn, orphaned or filed off its home shard
+// into quarantine/ with a machine-readable reason, instead of failing Open
+// or silently serving damaged data. It reads only the layout the store
+// writes.
 package store
 
 import (
@@ -19,8 +20,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"dragprof/internal/drag"
 )
 
 // QuarantineReason is the JSON record written next to every quarantined
@@ -76,85 +75,20 @@ func (s *Store) recoverLocked() error {
 			s.fs.Remove(filepath.Join(s.root, "tmp", e.Name()))
 		}
 	}
-	if err := s.rehomeLocked(); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		if err := s.scanShardLocked(sh); err != nil {
+	for i, sh := range s.shards {
+		if err := s.scanShardLocked(i, sh); err != nil {
 			return err
 		}
 	}
-	if err := s.loadCompactedLocked(); err != nil {
-		return err
-	}
-	return nil
+	return s.loadCompactedLocked()
 }
 
-// rehomeLocked moves every run found off its home shard onto it, because
-// queries look for a run only on the shard its id routes to. Earlier
-// versions placed a salvaged run by the hash of its raw upload rather
-// than of its stored log, so their stores can hold such runs. The move
-// mirrors the commit order: the data files go first and are made durable
-// at home before the metadata record follows them, so an interrupted move
-// leaves the record behind and the next scan finishes the move. A run
-// whose home shard already holds a record of the same id is a duplicate
-// and is quarantined.
-func (s *Store) rehomeLocked() error {
-	for i, sh := range s.shards {
-		from := sh.runsDir()
-		ents, err := os.ReadDir(from)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		for _, e := range ents {
-			name := e.Name()
-			if e.IsDir() || strings.HasPrefix(name, ".tmp-") || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			id := strings.TrimSuffix(name, ".json")
-			home := shardOf(id, len(s.shards))
-			if home == i {
-				continue
-			}
-			to := s.shards[home].runsDir()
-			if _, err := os.Stat(filepath.Join(to, name)); err == nil {
-				if err := s.quarantineRunLocked(from, id,
-					fmt.Sprintf("duplicate of a run committed on its home shard %03d", home)); err != nil {
-					return err
-				}
-				if err := s.fs.SyncDir(from); err != nil {
-					return err
-				}
-				if err := s.fs.SyncDir(s.QuarantineDir()); err != nil {
-					return err
-				}
-				continue
-			}
-			for _, names := range [][]string{{id + ".log", id + ".canonical"}, {name}} {
-				for _, n := range names {
-					if _, err := os.Stat(filepath.Join(from, n)); err != nil {
-						continue
-					}
-					if err := s.fs.Rename(filepath.Join(from, n), filepath.Join(to, n)); err != nil {
-						return fmt.Errorf("store: moving %s to its home shard: %w", n, err)
-					}
-				}
-				if err := s.fs.SyncDir(to); err != nil {
-					return err
-				}
-			}
-			if err := s.fs.SyncDir(from); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// scanShardLocked rebuilds a shard's run set from its runs/ directory,
+// scanShardLocked rebuilds shard i's run set from its runs/ directory,
 // verifying every entry, counting it into the store's totals and
-// quarantining damage.
-func (s *Store) scanShardLocked(sh *shard) error {
+// quarantining damage. A run whose id routes to another shard is
+// quarantined too: Get looks for a run only on its home shard, so such a
+// run could never be served.
+func (s *Store) scanShardLocked(i int, sh *shard) error {
 	runsDir := sh.runsDir()
 	ents, err := os.ReadDir(runsDir)
 	if err != nil {
@@ -178,10 +112,16 @@ func (s *Store) scanShardLocked(sh *shard) error {
 			continue
 		}
 		if !strings.HasSuffix(name, ".json") {
-			continue // .log/.canonical handled via their .json below
+			continue // a .log is handled via its .json below
 		}
 		id := strings.TrimSuffix(name, ".json")
-		m, reason := s.verifyRun(runsDir, id)
+		var m *RunMeta
+		var reason string
+		if home := shardOf(id, len(s.shards)); home != i {
+			reason = fmt.Sprintf("run filed off its home shard %03d", home)
+		} else {
+			m, reason = s.verifyRun(runsDir, id)
+		}
 		if reason != "" {
 			if err := s.quarantineRunLocked(runsDir, id, reason); err != nil {
 				return err
@@ -192,14 +132,13 @@ func (s *Store) scanShardLocked(sh *shard) error {
 		sh.runs[m.ID] = m
 		s.addLocked(m)
 	}
-	// Orphaned artifacts: a .log or .canonical without committed
-	// metadata is an interrupted, never-acknowledged commit.
+	// Orphaned artifacts: a .log without committed metadata is an
+	// interrupted, never-acknowledged commit.
 	for _, name := range names {
-		ext := filepath.Ext(name)
-		if ext != ".log" && ext != ".canonical" {
+		if !strings.HasSuffix(name, ".log") {
 			continue
 		}
-		id := strings.TrimSuffix(name, ext)
+		id := strings.TrimSuffix(name, ".log")
 		if _, ok := sh.runs[id]; ok {
 			continue
 		}
@@ -225,8 +164,6 @@ func (s *Store) scanShardLocked(sh *shard) error {
 
 // verifyRun checks one run's on-disk artifacts. It returns the parsed
 // metadata when the run is intact ("" reason), or a quarantine reason.
-// A missing canonical dump with an intact log is repaired, not
-// quarantined: the dump is a pure function of the log.
 func (s *Store) verifyRun(runsDir, id string) (*RunMeta, string) {
 	data, err := os.ReadFile(filepath.Join(runsDir, id+".json"))
 	if err != nil {
@@ -239,8 +176,7 @@ func (s *Store) verifyRun(runsDir, id string) (*RunMeta, string) {
 	if m.ID != id {
 		return nil, fmt.Sprintf("metadata id %q does not match file name", m.ID)
 	}
-	logPath := filepath.Join(runsDir, id+".log")
-	f, err := os.Open(logPath)
+	f, err := os.Open(filepath.Join(runsDir, id+".log"))
 	if err != nil {
 		return nil, fmt.Sprintf("run log missing or unreadable: %v", err)
 	}
@@ -253,37 +189,13 @@ func (s *Store) verifyRun(runsDir, id string) (*RunMeta, string) {
 	if got := hex.EncodeToString(hash.Sum(nil)); got != id {
 		return nil, fmt.Sprintf("torn run log: %d bytes hash to %s, not the run id", n, got[:12])
 	}
-	if _, err := os.Stat(filepath.Join(runsDir, id+".canonical")); err != nil {
-		if rerr := s.regenerateCanonical(runsDir, id, logPath); rerr != nil {
-			return nil, fmt.Sprintf("canonical dump missing and not regenerable: %v", rerr)
-		}
-	}
 	return &m, ""
-}
-
-// regenerateCanonical rebuilds a run's canonical dump from its verified
-// log (the dump is deterministic, so the result is byte-identical to the
-// one lost in the crash).
-func (s *Store) regenerateCanonical(runsDir, id, logPath string) error {
-	f, err := os.Open(logPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := drag.AnalyzeLog(f, drag.Options{}, 0)
-	if err != nil {
-		return err
-	}
-	if err := writeFileDurable(s.fs, runsDir, filepath.Join(runsDir, id+".canonical"), rep.CanonicalDump()); err != nil {
-		return err
-	}
-	return s.fs.SyncDir(runsDir)
 }
 
 // quarantineRunLocked moves every artifact of a damaged run into
 // quarantine/.
 func (s *Store) quarantineRunLocked(runsDir, id, reason string) error {
-	for _, ext := range []string{".json", ".log", ".canonical"} {
+	for _, ext := range []string{".json", ".log"} {
 		name := id + ext
 		if _, err := os.Stat(filepath.Join(runsDir, name)); err != nil {
 			continue
@@ -330,39 +242,31 @@ func (s *Store) quarantineFileLocked(dir, name, runID, reason string) error {
 	return nil
 }
 
-// loadQuarantineLocked reads the reason records of previous scans: the
-// root quarantine/ and, for stores written when each shard kept its own,
-// every shards/NNN/quarantine/.
+// loadQuarantineLocked reads the reason records of previous scans from
+// quarantine/.
 func (s *Store) loadQuarantineLocked() error {
-	dirs := []string{s.QuarantineDir()}
-	old, err := filepath.Glob(filepath.Join(s.root, "shards", "*", "quarantine"))
+	dir := s.QuarantineDir()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	sort.Strings(old)
-	for _, dir := range append(dirs, old...) {
-		ents, err := os.ReadDir(dir)
+	names := make([]string, 0, len(ents))
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".reason.json") {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		names := make([]string, 0, len(ents))
-		for _, e := range ents {
-			if strings.HasSuffix(e.Name(), ".reason.json") {
-				names = append(names, e.Name())
-			}
+		var q QuarantineReason
+		if err := json.Unmarshal(data, &q); err != nil {
+			continue // a torn reason file never blocks recovery
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-			var q QuarantineReason
-			if err := json.Unmarshal(data, &q); err != nil {
-				continue // a torn reason file never blocks recovery
-			}
-			s.quarantined = append(s.quarantined, q)
-		}
+		s.quarantined = append(s.quarantined, q)
 	}
 	return nil
 }

@@ -68,8 +68,8 @@ func TestRecoveryQuarantinesTornLog(t *testing.T) {
 	if r, ok := reasons[bad+".log"]; !ok || !strings.Contains(r, "torn run log") {
 		t.Fatalf("expected torn-log reason for %s, have %v", bad[:12], reasons)
 	}
-	// All three artifacts moved out of runs/.
-	for _, ext := range []string{".json", ".log", ".canonical"} {
+	// Both artifacts moved out of runs/.
+	for _, ext := range []string{".json", ".log"} {
 		if _, err := os.Stat(filepath.Join(dir, "shards", "000", "runs", bad+ext)); !os.IsNotExist(err) {
 			t.Fatalf("%s%s still in runs/", bad[:12], ext)
 		}
@@ -136,36 +136,6 @@ func TestRecoveryQuarantinesOrphanArtifacts(t *testing.T) {
 	reasons := quarantineReasons(t, st2)
 	if r, ok := reasons[id+".log"]; !ok || !strings.Contains(r, "uncommitted") {
 		t.Fatalf("expected uncommitted-artifact reason, have %v", reasons)
-	}
-}
-
-func TestRecoveryRegeneratesMissingCanonical(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := ingestOne(t, st, "alpha", 600, 1)
-	want, err := st.Canonical(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "shards", "000", "runs", id+".canonical")); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := st2.Canonical(id)
-	if err != nil {
-		t.Fatalf("canonical not regenerated: %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("regenerated canonical differs from the original")
-	}
-	if len(st2.Quarantined()) != 0 {
-		t.Fatal("repairable run was quarantined")
 	}
 }
 
@@ -278,9 +248,9 @@ func (f *failRenameFS) Rename(oldpath, newpath string) error {
 }
 
 func TestCommitFailureLeavesNoDebris(t *testing.T) {
-	// Fail each of the first three renames a single ingest performs
-	// (spool→log, canonical swap, meta swap) in turn.
-	for failN := 1; failN <= 3; failN++ {
+	// Fail each of the two renames a single ingest performs (spool→log,
+	// meta swap) in turn.
+	for failN := 1; failN <= 2; failN++ {
 		fsys := &failRenameFS{}
 		dir := t.TempDir()
 		st, err := OpenFS(dir, fsys)
@@ -351,33 +321,5 @@ func TestRecoveryDropsSummaryOfFullyQuarantinedWorkload(t *testing.T) {
 	}
 	if len(sites) != 0 {
 		t.Fatalf("still serving %d sites of a workload with no runs", len(sites))
-	}
-}
-
-// Quarantine records that stores written with per-shard quarantine
-// directories left under shards/NNN/quarantine/ are still listed.
-func TestQuarantineListsShardDirectoryRecords(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := OpenSharded(dir, 2); err != nil {
-		t.Fatal(err)
-	}
-	qdir := filepath.Join(dir, "shards", "001", "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(QuarantineReason{File: "runs/abc.log", Reason: "torn run log", RunID: "abc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(qdir, "abc.log.reason.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := OpenSharded(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reasons := quarantineReasons(t, st)
-	if r := reasons["abc.log"]; r != "torn run log" {
-		t.Fatalf("shard quarantine record not listed: have %v", reasons)
 	}
 }

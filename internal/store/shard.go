@@ -12,8 +12,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-
-	"dragprof/internal/drag"
 )
 
 // shard is one run log directory and the runs committed to it.
@@ -40,7 +38,7 @@ func shardOf(id string, n int) int {
 
 func (sh *shard) runsDir() string { return filepath.Join(sh.dir, "runs") }
 
-// path names one artifact (".log", ".canonical" or ".json") of a run.
+// path names one artifact (".log" or ".json") of a run.
 func (sh *shard) path(id, ext string) string { return filepath.Join(sh.dir, "runs", id+ext) }
 
 // Get returns the metadata of a run stored on this shard, by full id.
@@ -64,22 +62,21 @@ func (sh *shard) Runs() []*RunMeta {
 }
 
 // commit runs the durable commit protocol: rename the fsynced spool into
-// runs/, durably write the canonical dump, fsync the directory, then
-// durably write the metadata record — the commit point — and fsync the
-// directory again. Recovery treats a run as committed if and only if its
+// runs/, fsync the directory, then durably write the metadata record —
+// the commit point — and fsync the directory again. Recovery treats a run as committed if and only if its
 // metadata parses and the log hashes to the run id, so a crash anywhere
 // before the final SyncDir leaves at worst unacknowledged debris that the
 // recovery scan quarantines or reaps. Duplicate ids are detected under
 // the lock; the first writer wins and later identical uploads are
 // reported as duplicates.
-func (sh *shard) commit(meta *RunMeta, spoolPath string, rep *drag.Report) (duplicate bool, err error) {
+func (sh *shard) commit(meta *RunMeta, spoolPath string) (duplicate bool, err error) {
 	if existing, ok := sh.Get(meta.ID); ok {
 		*meta = *existing
 		return true, nil
 	}
 
 	runsDir := sh.runsDir()
-	logPath, canonPath, metaPath := sh.path(meta.ID, ".log"), sh.path(meta.ID, ".canonical"), sh.path(meta.ID, ".json")
+	logPath, metaPath := sh.path(meta.ID, ".log"), sh.path(meta.ID, ".json")
 	committed := false
 	defer func() {
 		if committed {
@@ -89,15 +86,11 @@ func (sh *shard) commit(meta *RunMeta, spoolPath string, rep *drag.Report) (dupl
 		// recovery scan: reap every artifact this attempt created.
 		sh.fs.Remove(spoolPath)
 		sh.fs.Remove(logPath)
-		sh.fs.Remove(canonPath)
 		sh.fs.Remove(metaPath)
 	}()
 
 	if err := sh.fs.Rename(spoolPath, logPath); err != nil {
 		return false, fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileDurable(sh.fs, runsDir, canonPath, rep.CanonicalDump()); err != nil {
-		return false, err
 	}
 	if err := sh.fs.SyncDir(runsDir); err != nil {
 		return false, err

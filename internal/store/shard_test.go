@@ -67,14 +67,16 @@ func TestShardedDifferentialByteIdentity(t *testing.T) {
 	}
 
 	for _, id := range ids {
-		fc, err := flat.Canonical(id)
+		fcRep, err := flat.Report(id, drag.Options{}, 0)
 		if err != nil {
 			t.Fatalf("flat canonical %s: %v", id, err)
 		}
-		sc, err := sharded.Canonical(id)
+		fc := fcRep.CanonicalDump()
+		scRep, err := sharded.Report(id, drag.Options{}, 0)
 		if err != nil {
 			t.Fatalf("sharded canonical %s: %v", id, err)
 		}
+		sc := scRep.CanonicalDump()
 		if !bytes.Equal(fc, sc) {
 			t.Fatalf("canonical %s differs between flat and sharded", id)
 		}

@@ -1,7 +1,7 @@
 // Package store is dragserved's persistent run store: a content-addressed
-// on-disk collection of drag logs with per-run analysis reports and a
-// cross-run compactor that merges runs of the same workload into mergeable
-// per-site summaries.
+// on-disk collection of drag logs, per-run analysis reports computed from
+// them on request, and a cross-run compactor that merges runs of the same
+// workload into mergeable per-site summaries.
 //
 // One Store owns N >= 1 shards. Runs are partitioned by their id across
 // the shards; each shard is a durable run log (shard.go). The Store alone
@@ -17,13 +17,13 @@
 //	                        damaged ones)
 //	shards/NNN/runs/<id>.json
 //	                        RunMeta — the commit record, written last
-//	shards/NNN/runs/<id>.canonical
-//	                        drag.CanonicalDump of the run's analysis under
-//	                        default options — the byte-exact report the
-//	                        /report endpoint serves
 //	compact/<key>.json      per-workload compacted site summaries
 //	quarantine/             torn entries moved aside by the recovery scan,
 //	                        each with a <file>.reason.json record
+//
+// A committed run is exactly its .log and its .json. Every report on it,
+// the canonical dump included, is a deterministic function of the log
+// (Report), so the store keeps no derived copy.
 //
 // A run's id is the lowercase hex SHA-256 of the stored log bytes, so
 // identical uploads deduplicate and the id doubles as an integrity oracle:
@@ -31,9 +31,10 @@
 // the run's home shard (shardOf).
 //
 // Durability contract: by the time Ingest returns a non-duplicate result,
-// the run's log, canonical dump and metadata are fsynced and their
-// directory entries are durable — a power cut cannot lose or tear an
-// acknowledged run. All mutations flow through the FS seam (fsys.go) so
+// the run's log and metadata are fsynced and their directory entries are
+// durable — a power cut cannot lose or tear an acknowledged run. Each
+// ingest makes two durable writes: the spool, renamed into place as the
+// log, and the metadata record, the commit point. All mutations flow through the FS seam (fsys.go) so
 // the chaos harness can prove it by crashing at every step; Open's
 // recovery scan (recover.go) verifies every run against its content hash
 // and quarantines anything torn instead of failing or serving it.
@@ -119,8 +120,9 @@ type IngestResult struct {
 	// Meta is the stored run, nil when nothing was storable (damaged
 	// header/tables, zero salvageable records, or an oversized upload).
 	Meta *RunMeta
-	// Report is the run's analysis under default options (nil for
-	// duplicates — the stored canonical dump already covers them).
+	// Report is the run's analysis under default options, computed
+	// while the upload streamed in (nil for duplicates, which were
+	// already announced when first stored).
 	Report *drag.Report
 	// Salvage is non-nil exactly when the upload was damaged; the upload
 	// was rejected (HTTP 422) even if a prefix was stored.
@@ -153,9 +155,8 @@ type RunStore interface {
 	SalvagedRuns() int
 	// OpenLog opens a stored run's log for reading.
 	OpenLog(id string) (io.ReadCloser, error)
-	// Canonical returns the stored canonical report dump for a run.
-	Canonical(id string) ([]byte, error)
-	// Report recomputes a run's analysis from its stored log.
+	// Report recomputes a run's analysis from its stored log; its
+	// CanonicalDump under default options is the served canonical report.
 	Report(id string, opts drag.Options, workers int) (*drag.Report, error)
 	// Ingest stores one uploaded drag log.
 	Ingest(body io.Reader, workers int) (*IngestResult, error)
@@ -413,16 +414,6 @@ func (s *Store) OpenLog(id string) (io.ReadCloser, error) {
 	return os.Open(s.home(m.ID).path(m.ID, ".log"))
 }
 
-// Canonical returns the stored canonical report dump (default analysis
-// options) for a run.
-func (s *Store) Canonical(id string) ([]byte, error) {
-	m, ok := s.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("store: unknown run %q", id)
-	}
-	return os.ReadFile(s.home(m.ID).path(m.ID, ".canonical"))
-}
-
 // Report recomputes a run's analysis from its stored log. workers <= 0
 // uses GOMAXPROCS; the result is byte-identical to the serial analyzer.
 func (s *Store) Report(id string, opts drag.Options, workers int) (*drag.Report, error) {
@@ -507,7 +498,7 @@ func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
 	if err := tmp.Close(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	dup, err := s.commit(meta, tmpName, rep)
+	dup, err := s.commit(meta, tmpName)
 	if err != nil {
 		return nil, err
 	}
@@ -645,7 +636,7 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	if err := enc.Close(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	dup, err := s.commit(meta, encName, rep)
+	dup, err := s.commit(meta, encName)
 	if err != nil {
 		return nil, err
 	}
@@ -659,8 +650,8 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 // commit moves a fsynced spool into the home shard of the run's id and,
 // unless the id was already stored, counts the run into the totals and
 // marks its workload stale.
-func (s *Store) commit(meta *RunMeta, spoolPath string, rep *drag.Report) (duplicate bool, err error) {
-	dup, err := s.home(meta.ID).commit(meta, spoolPath, rep)
+func (s *Store) commit(meta *RunMeta, spoolPath string) (duplicate bool, err error) {
+	dup, err := s.home(meta.ID).commit(meta, spoolPath)
 	if err != nil || dup {
 		return dup, err
 	}

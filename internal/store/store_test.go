@@ -117,10 +117,11 @@ func TestIngestStoresContentAddressed(t *testing.T) {
 	if got := res.Report.CanonicalDump(); !bytes.Equal(got, want) {
 		t.Error("sharded ingest report differs from serial analysis")
 	}
-	canon, err := st.Canonical(wantID)
+	canonRep, err := st.Report(wantID, drag.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	canon := canonRep.CanonicalDump()
 	if !bytes.Equal(canon, want) {
 		t.Error("stored canonical dump differs from serial analysis")
 	}
@@ -198,10 +199,11 @@ func TestIngestSalvagesDamage(t *testing.T) {
 	}
 	// The stored prefix analyzes identically to the salvaged profile.
 	want := drag.Analyze(wantProf, drag.Options{}).CanonicalDump()
-	canon, err := st.Canonical(res.Meta.ID)
+	canonRep, err := st.Report(res.Meta.ID, drag.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	canon := canonRep.CanonicalDump()
 	if !bytes.Equal(canon, want) {
 		t.Error("salvaged run's canonical dump differs from analyzing SalvageLog output")
 	}
@@ -311,10 +313,11 @@ func TestStoreReopen(t *testing.T) {
 	if _, err := st.SiteSummaries(2); err != nil {
 		t.Fatal(err)
 	}
-	canon, err := st.Canonical(res.Meta.ID)
+	canonRep, err := st.Report(res.Meta.ID, drag.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	canon := canonRep.CanonicalDump()
 
 	st2, err := Open(dir)
 	if err != nil {
@@ -326,10 +329,11 @@ func TestStoreReopen(t *testing.T) {
 	if st2.Dirty() {
 		t.Error("reopened store is dirty despite an up-to-date compaction")
 	}
-	canon2, err := st2.Canonical(res.Meta.ID)
+	canon2Rep, err := st2.Report(res.Meta.ID, drag.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	canon2 := canon2Rep.CanonicalDump()
 	if !bytes.Equal(canon, canon2) {
 		t.Error("canonical dump changed across reopen")
 	}

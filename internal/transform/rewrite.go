@@ -55,15 +55,16 @@ type Candidate struct {
 // phase-guarded field null-stores proved by the heap liveness pass.
 //
 // The validated tier then visits each candidate the proved tier did not
-// cover and applies the rewrite its pattern suggests — dead-code removal,
-// constructor-field lazy allocation, or null assignment after the last
-// use of the local holding the object — once the analyses validate it.
-// Patterns with no rewrite are ignored. Candidates are deduplicated and
-// visited in site-id order, pc-stable edits first, then lazy allocation
-// (which grows and reroutes code), then null insertion (which shifts
-// pcs), so the transformed bytecode does not depend on how the profile
-// ranked them. Unknown or unsuitable sites produce rejected actions, not
-// errors.
+// cover and applies the rewrite its pattern suggests — constructor-field
+// lazy allocation, or null assignment after the last use of the local
+// holding the object — once the analyses validate it. Patterns with no
+// rewrite are ignored, dead code among them: removal needs the flow
+// analysis to prove the site never used, and the proved tier already
+// attempted every reachable site it proves. Candidates are deduplicated
+// and visited in site-id order, lazy allocation (which grows and reroutes
+// code) first, then null insertion (which shifts pcs), so the transformed
+// bytecode does not depend on how the profile ranked them. Unknown or
+// unsuitable sites produce rejected actions, not errors.
 //
 // The program is modified in place and re-verified afterwards.
 func Rewrite(p *bytecode.Program, cands []Candidate) ([]Action, error) {
@@ -146,16 +147,14 @@ func Rewrite(p *bytecode.Program, cands []Candidate) ([]Action, error) {
 	return actions, nil
 }
 
-// stage orders the validated rewrites: pc-stable removal, then lazy
-// allocation, then null insertion; -1 marks a pattern with no rewrite.
+// stage orders the validated rewrites: lazy allocation, then null
+// insertion; -1 marks a pattern with no rewrite.
 func stage(p drag.Pattern) int {
 	switch p {
-	case drag.PatternDeadCode:
-		return 0
 	case drag.PatternLazyAlloc:
-		return 1
+		return 0
 	case drag.PatternAssignNull:
-		return 2
+		return 1
 	}
 	return -1
 }
@@ -165,9 +164,6 @@ func applyValidated(v *Validator, c Candidate) Action {
 	act := Action{Site: c.Site, SiteDesc: v.Prog.Sites[c.Site].Desc, Tier: TierValidated}
 	var err error
 	switch c.Pattern {
-	case drag.PatternDeadCode:
-		act.Strategy = "dead-code removal"
-		err = RemoveDeadAllocation(v, c.Site)
 	case drag.PatternLazyAlloc:
 		act.Strategy = "lazy allocation"
 		act.Reason, err = lazyAllocateSite(v, c.Site)
