@@ -4,8 +4,8 @@
 // lifetime patterns with the suggested rewrite.
 //
 // The log format (text v2 or binary v3, gzipped or not) is auto-detected;
-// site aggregation fans out over GOMAXPROCS workers by default and is
-// byte-identical to the serial path (-serial). -salvage analyzes as much
+// site aggregation fans out over GOMAXPROCS workers by default (-workers)
+// and is byte-identical at every worker count. -salvage analyzes as much
 // of a truncated or corrupted log as its checksums vouch for, flagging the
 // output as partial data; -format selects text, json or sarif reports, or
 // canonical — the exact-hex-float report dump that dragserved serves for
@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	draganalyze [-top n] [-depth n] [-curve] [-serial] [-workers n]
+//	draganalyze [-top n] [-depth n] [-curve] [-anchors] [-workers n]
 //	            [-salvage] [-format text|json|sarif|canonical] drag.log...
 //
 // Several logs aggregate into one report (merged in argument order through
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dragprof/internal/cli"
@@ -40,38 +41,44 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	top := flag.Int("top", 10, "number of allocation sites to print")
-	depth := flag.Int("depth", 4, "nested allocation site depth (call-chain level)")
-	curve := flag.Bool("curve", false, "also print the reachable/in-use curve as CSV")
-	anchors := flag.Bool("anchors", false, "also print anchor allocation sites (application-code frames) with lifetime histograms")
-	serial := flag.Bool("serial", false, "use the serial aggregator (reference path; output is identical)")
-	workers := flag.Int("workers", 0, "parallel aggregation workers (0: GOMAXPROCS)")
-	salvage := flag.Bool("salvage", false, "recover what the log's checksums vouch for instead of failing on damage")
-	format := flag.String("format", "text", "report format: text, json, sarif or canonical")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("draganalyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	top := fs.Int("top", 10, "number of allocation sites to print")
+	depth := fs.Int("depth", 4, "nested allocation site depth (call-chain level)")
+	curve := fs.Bool("curve", false, "also print the reachable/in-use curve as CSV")
+	anchors := fs.Bool("anchors", false, "also print anchor allocation sites (application-code frames) with lifetime histograms")
+	workers := fs.Int("workers", 0, "parallel aggregation workers (0: GOMAXPROCS)")
+	salvage := fs.Bool("salvage", false, "recover what the log's checksums vouch for instead of failing on damage")
+	format := fs.String("format", "text", "report format: text, json, sarif or canonical")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
 	switch *format {
 	case "text", "json", "sarif", "canonical":
 	default:
-		fmt.Fprintf(os.Stderr, "draganalyze: unknown -format %q (want text, json, sarif or canonical)\n", *format)
+		fmt.Fprintf(stderr, "draganalyze: unknown -format %q (want text, json, sarif or canonical)\n", *format)
 		return cli.ExitUsage
 	}
-	if flag.NArg() < 1 {
-		fmt.Fprintln(os.Stderr, "usage: draganalyze [flags] drag.log...")
-		flag.PrintDefaults()
+	if fs.NArg() < 1 {
+		fmt.Fprintln(stderr, "usage: draganalyze [flags] drag.log...")
+		fs.PrintDefaults()
 		return cli.ExitUsage
 	}
-	if flag.NArg() > 1 && (*salvage || *anchors || *curve) {
-		fmt.Fprintln(os.Stderr, "draganalyze: -salvage, -anchors and -curve need a single log")
+	if fs.NArg() > 1 && (*salvage || *anchors || *curve) {
+		fmt.Fprintln(stderr, "draganalyze: -salvage, -anchors and -curve need a single log")
 		return cli.ExitUsage
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		return fail(err)
+		return fail(stderr, err)
 	}
 	defer f.Close()
 
@@ -82,69 +89,55 @@ func run() int {
 	if *salvage {
 		prof, sr, err = profile.SalvageLog(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "draganalyze: nothing salvageable:", err)
+			fmt.Fprintln(stderr, "draganalyze: nothing salvageable:", err)
 			return cli.ExitFailure
 		}
 	} else {
 		prof, err = profile.ReadLog(f)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "draganalyze:", err)
-			fmt.Fprintln(os.Stderr, "draganalyze: hint: -salvage recovers the intact prefix of a damaged log")
+			fmt.Fprintln(stderr, "draganalyze:", err)
+			fmt.Fprintln(stderr, "draganalyze: hint: -salvage recovers the intact prefix of a damaged log")
 			return cli.ExitFailure
 		}
 	}
 
+	// Multi-log aggregation folds every further log and merges it in
+	// argument order (the same merge path dragserved's compactor uses).
+	// All logs must share one sampling rate — an exact log mixed into a
+	// sampled aggregation (or two different rates) would combine figures
+	// on different estimator scales into one meaningless total.
 	opts := drag.Options{NestDepth: *depth}
-	var rep *drag.Report
+	acc := drag.Fold(prof, opts, *workers)
 	numObjects := len(prof.Records)
-	if flag.NArg() > 1 {
-		// Multi-log aggregation: fold every log into one accumulator in
-		// argument order (the same merge path dragserved's compactor uses).
-		// All logs must share one sampling rate — an exact log mixed into a
-		// sampled aggregation (or two different rates) would combine figures
-		// on different estimator scales into one meaningless total.
-		acc := drag.NewAccumulator(prof, opts)
-		for _, r := range prof.Records {
-			acc.Add(r)
+	for _, arg := range fs.Args()[1:] {
+		next, err := readLogFile(arg)
+		if err != nil {
+			return fail(stderr, err)
 		}
-		for _, arg := range flag.Args()[1:] {
-			next, err := readLogFile(arg)
-			if err != nil {
-				return fail(err)
-			}
-			if code, msg := checkAggregate(flag.Arg(0), prof, arg, next); code != cli.ExitOK {
-				fmt.Fprintln(os.Stderr, "draganalyze:", msg)
-				return code
-			}
-			nextAcc := drag.NewAccumulator(next, opts)
-			for _, r := range next.Records {
-				nextAcc.Add(r)
-			}
-			acc.Merge(nextAcc)
-			numObjects += len(next.Records)
+		if code, msg := checkAggregate(fs.Arg(0), prof, arg, next); code != cli.ExitOK {
+			fmt.Fprintln(stderr, "draganalyze:", msg)
+			return code
 		}
-		rep = acc.Report()
-	} else if *serial {
-		rep = drag.Analyze(prof, opts)
-	} else {
-		rep = drag.AnalyzeParallel(prof, opts, *workers)
+		acc.Merge(drag.Fold(next, opts, *workers))
+		numObjects += len(next.Records)
 	}
+	rep := acc.Report()
 
 	partial := sr != nil && !sr.Clean()
 	switch *format {
 	case "canonical":
 		// The exact report state: byte-identical to the canonical dump a
 		// dragserved instance serves for the same log.
-		os.Stdout.Write(rep.CanonicalDump())
+		stdout.Write(rep.CanonicalDump())
 	case "json", "sarif":
-		if err := renderDiagnostics(*format, rep, sr, *top); err != nil {
-			return fail(err)
+		if err := renderDiagnostics(stdout, *format, rep, sr, *top); err != nil {
+			return fail(stderr, err)
 		}
 	default:
 		if partial {
-			fmt.Printf("WARNING: partial data — %s\n\n", sr.Summary())
+			fmt.Fprintf(stdout, "WARNING: partial data — %s\n\n", sr.Summary())
 		}
-		renderText(rep, prof, numObjects, *top, *anchors, *curve)
+		renderText(stdout, rep, prof, numObjects, *top, *anchors, *curve)
 	}
 	if partial {
 		return cli.ExitSalvaged
@@ -155,11 +148,11 @@ func run() int {
 // renderText prints the report via the shared renderer (the same code path
 // dragserved's text endpoint uses), plus the CLI-only anchor and curve
 // sections.
-func renderText(rep *drag.Report, prof *profile.Profile, numObjects, top int, anchors, curve bool) {
-	report.DragText(os.Stdout, rep, numObjects, top)
+func renderText(w io.Writer, rep *drag.Report, prof *profile.Profile, numObjects, top int, anchors, curve bool) {
+	report.DragText(w, rep, numObjects, top)
 
 	if anchors {
-		fmt.Println("anchor allocation sites (application code):")
+		fmt.Fprintln(w, "anchor allocation sites (application code):")
 		groups := drag.AnchorGroups(prof, rep.Options)
 		if top > len(groups) {
 			top = len(groups)
@@ -169,27 +162,27 @@ func renderText(rep *drag.Report, prof *profile.Profile, numObjects, top int, an
 			if rep.TotalDrag > 0 {
 				share = float64(g.Drag) / float64(rep.TotalDrag)
 			}
-			fmt.Printf("#%d  %s\n", i+1, g.Desc)
-			fmt.Printf("    drag %.4f MB² (%.1f%%), %d objects (%d never used)\n",
+			fmt.Fprintf(w, "#%d  %s\n", i+1, g.Desc)
+			fmt.Fprintf(w, "    drag %.4f MB² (%.1f%%), %d objects (%d never used)\n",
 				mb2(g.Drag), share*100, g.Count, g.NeverUsed)
-			fmt.Printf("    drag-time histogram:   %s\n", g.DragHist.String())
-			fmt.Printf("    in-use-time histogram: %s\n", g.InUseHist.String())
-			fmt.Printf("    pattern: %s\n\n", g.Pattern)
+			fmt.Fprintf(w, "    drag-time histogram:   %s\n", g.DragHist.String())
+			fmt.Fprintf(w, "    in-use-time histogram: %s\n", g.InUseHist.String())
+			fmt.Fprintf(w, "    pattern: %s\n\n", g.Pattern)
 		}
 	}
 
 	if curve {
 		c := drag.BuildCurve(prof, 512)
-		fmt.Println("alloc_bytes,reachable_bytes,inuse_bytes")
+		fmt.Fprintln(w, "alloc_bytes,reachable_bytes,inuse_bytes")
 		for i := range c.Times {
-			fmt.Printf("%d,%d,%d\n", c.Times[i], c.Reachable[i], c.InUse[i])
+			fmt.Fprintf(w, "%d,%d,%d\n", c.Times[i], c.Reachable[i], c.InUse[i])
 		}
 	}
 }
 
 // renderDiagnostics emits the top drag sites as report diagnostics through
 // the renderers shared with dragserved.
-func renderDiagnostics(format string, rep *drag.Report, sr *profile.SalvageReport, top int) error {
+func renderDiagnostics(w io.Writer, format string, rep *drag.Report, sr *profile.SalvageReport, top int) error {
 	diags := report.DragDiagnostics(rep, sr, top)
 	var out string
 	var err error
@@ -201,7 +194,7 @@ func renderDiagnostics(format string, rep *drag.Report, sr *profile.SalvageRepor
 	if err != nil {
 		return err
 	}
-	_, err = os.Stdout.WriteString(out)
+	_, err = io.WriteString(w, out)
 	return err
 }
 
@@ -235,7 +228,7 @@ func checkAggregate(first string, p *profile.Profile, arg string, next *profile.
 
 func mb2(v int64) float64 { return float64(v) / (1 << 40) }
 
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "draganalyze:", err)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "draganalyze:", err)
 	return cli.ExitFailure
 }

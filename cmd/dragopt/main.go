@@ -23,8 +23,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,7 +42,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // target is one program to optimize and verify: a named benchmark or a
@@ -68,23 +70,30 @@ type outcome struct {
 	OptDrag  int64 `json:"optDrag,omitempty"`
 }
 
-func run() int {
-	benchName := flag.String("bench", "", "optimize a named benchmark instead of source files (or 'all')")
-	passesFlag := flag.String("passes", strings.Join(opt.DefaultPasses, ","),
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dragopt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchName := fs.String("bench", "", "optimize a named benchmark instead of source files (or 'all')")
+	passesFlag := fs.String("passes", strings.Join(opt.DefaultPasses, ","),
 		"comma-separated pass list/order: devirt, region, dce")
-	format := flag.String("format", "text", "evidence format: text, json or sarif")
-	outPath := flag.String("out", "", "write evidence to a file instead of stdout")
-	verify := flag.Bool("verify", true,
+	format := fs.String("format", "text", "evidence format: text, json or sarif")
+	outPath := fs.String("out", "", "write evidence to a file instead of stdout")
+	verify := fs.Bool("verify", true,
 		"run the differential harness: byte-identical output, idempotence, drag not worse")
-	interval := flag.Int64("interval", 100<<10, "deep-GC interval in allocated bytes for the drag comparison")
-	requireReduction := flag.Bool("require-reduction", false,
+	interval := fs.Int64("interval", 100<<10, "deep-GC interval in allocated bytes for the drag comparison")
+	requireReduction := fs.Bool("require-reduction", false,
 		"exit with status 8 unless at least one target shows a measured drag reduction; CI gate")
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
 
 	switch *format {
 	case "text", "json", "sarif":
 	default:
-		return usage(fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
+		return usage(stderr, fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
 	}
 	passes := strings.Split(*passesFlag, ",")
 	for i := range passes {
@@ -94,14 +103,14 @@ func run() int {
 	var targets []target
 	switch {
 	case *benchName != "":
-		if flag.NArg() != 0 {
-			return usage(fmt.Errorf("-bench and source files are mutually exclusive"))
+		if fs.NArg() != 0 {
+			return usage(stderr, fmt.Errorf("-bench and source files are mutually exclusive"))
 		}
 		list := bench.All()
 		if *benchName != "all" {
 			b, err := bench.ByName(*benchName)
 			if err != nil {
-				return usage(err)
+				return usage(stderr, err)
 			}
 			list = []*bench.Benchmark{b}
 		}
@@ -115,13 +124,13 @@ func run() int {
 				return cp.Program, nil
 			}})
 		}
-	case flag.NArg() > 0:
-		names := flag.Args()
+	case fs.NArg() > 0:
+		names := fs.Args()
 		sources := make(map[string]string, len(names))
 		for _, name := range names {
 			text, err := os.ReadFile(name)
 			if err != nil {
-				return fail(err)
+				return fail(stderr, err)
 			}
 			sources[name] = string(text)
 		}
@@ -130,8 +139,8 @@ func run() int {
 			return p, err
 		}})
 	default:
-		fmt.Fprintln(os.Stderr, "usage: dragopt -bench name|all [flags]  |  dragopt [flags] file.mj...")
-		flag.PrintDefaults()
+		fmt.Fprintln(stderr, "usage: dragopt -bench name|all [flags]  |  dragopt [flags] file.mj...")
+		fs.PrintDefaults()
 		return cli.ExitUsage
 	}
 
@@ -144,10 +153,10 @@ func run() int {
 		oc, ds, err := optimizeTarget(tg, passes, *verify, *interval)
 		if err != nil {
 			if _, ok := err.(*compileError); ok {
-				fmt.Fprintln(os.Stderr, "dragopt:", err)
+				fmt.Fprintln(stderr, "dragopt:", err)
 				return cli.ExitCompile
 			}
-			return fail(err)
+			return fail(stderr, err)
 		}
 		if *verify && (!oc.OutputIdentical || !oc.Idempotent || (oc.BaseDrag > 0 && oc.OptDrag > oc.BaseDrag)) {
 			failed = true
@@ -156,12 +165,12 @@ func run() int {
 		diags = append(diags, ds...)
 	}
 
-	if err := renderEvidence(*format, *outPath, outcomes, diags); err != nil {
-		return fail(err)
+	if err := renderEvidence(stdout, *format, *outPath, outcomes, diags); err != nil {
+		return fail(stderr, err)
 	}
 
 	if failed {
-		fmt.Fprintln(os.Stderr, "dragopt: verification failed (see summary above)")
+		fmt.Fprintln(stderr, "dragopt: verification failed (see summary above)")
 		return cli.ExitFindings
 	}
 	if *requireReduction {
@@ -172,7 +181,7 @@ func run() int {
 			}
 		}
 		if !reduced {
-			fmt.Fprintln(os.Stderr, "dragopt: -require-reduction set but no target showed a drag reduction")
+			fmt.Fprintln(stderr, "dragopt: -require-reduction set but no target showed a drag reduction")
 			return cli.ExitFindings
 		}
 	}
@@ -260,7 +269,7 @@ func execute(p *bytecode.Program) (string, vm.Cost, error) {
 }
 
 // renderEvidence writes the per-target summaries plus the action trail.
-func renderEvidence(format, outPath string, outcomes []outcome, diags []report.Diagnostic) error {
+func renderEvidence(stdout io.Writer, format, outPath string, outcomes []outcome, diags []report.Diagnostic) error {
 	var sb strings.Builder
 	switch format {
 	case "sarif":
@@ -292,8 +301,8 @@ func renderEvidence(format, outPath string, outcomes []outcome, diags []report.D
 		}
 	}
 	if outPath == "" {
-		fmt.Print(sb.String())
-		return nil
+		_, err := io.WriteString(stdout, sb.String())
+		return err
 	}
 	return os.WriteFile(outPath, []byte(sb.String()), 0o644)
 }
@@ -330,12 +339,12 @@ func pctDelta(base, opt int64) float64 {
 	return 100 * float64(opt-base) / float64(base)
 }
 
-func usage(err error) int {
-	fmt.Fprintln(os.Stderr, "dragopt:", err)
+func usage(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "dragopt:", err)
 	return cli.ExitUsage
 }
 
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "dragopt:", err)
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "dragopt:", err)
 	return cli.ExitFailure
 }

@@ -14,12 +14,20 @@
 //	dragvet -bench jack|all [-format ...]
 //	dragvet -against drag.log file.mj...
 //	dragvet -profile -bench jack
+//
+// Exit codes: 0 success, 1 failure (unreadable input, a source that does
+// not compile, an unknown -format or -bench, -fail-on-new without
+// -baseline), 2 usage (no sources and no -bench), 8 findings (a finding at
+// or above -max-confidence-fail, or findings outside the -baseline under
+// -fail-on-new).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -34,161 +42,172 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	benchName := flag.String("bench", "", "lint a named benchmark instead of source files (or 'all')")
-	format := flag.String("format", "text", "output format: text, json or sarif")
-	against := flag.String("against", "", "cross-validate findings against a drag log written by dragprof")
-	doProfile := flag.Bool("profile", false, "profile the program in-process and cross-validate against the run")
-	interval := flag.Int64("interval", 100<<10, "deep-GC interval in allocated bytes for -profile")
-	top := flag.Int("top", 10, "top-drag sites forming the cross-validation measured set")
-	minShare := flag.Float64("minshare", 0.01, "minimum drag share for a measured site")
-	minConf := flag.Float64("minconf", 0, "minimum confidence for a static finding to count as a prediction")
-	pointsTo := flag.Bool("pointsto", false, "print points-to solver diagnostics and proved heap kills")
-	maxConfFail := flag.Float64("max-confidence-fail", 0,
+// vetter carries one invocation's output streams and its gate state:
+// the highest finding confidence across every lint target (for
+// -max-confidence-fail) and the findings outside the -baseline (for
+// -fail-on-new).
+type vetter struct {
+	stdout, stderr io.Writer
+	format         string
+	baseline       *report.Baseline
+	maxConfidence  float64
+	newFindings    int
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dragvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchName := fs.String("bench", "", "lint a named benchmark instead of source files (or 'all')")
+	format := fs.String("format", "text", "output format: text, json or sarif")
+	against := fs.String("against", "", "cross-validate findings against a drag log written by dragprof")
+	doProfile := fs.Bool("profile", false, "profile the program in-process and cross-validate against the run")
+	interval := fs.Int64("interval", 100<<10, "deep-GC interval in allocated bytes for -profile")
+	top := fs.Int("top", 10, "top-drag sites forming the cross-validation measured set")
+	minShare := fs.Float64("minshare", 0.01, "minimum drag share for a measured site")
+	minConf := fs.Float64("minconf", 0, "minimum confidence for a static finding to count as a prediction")
+	pointsTo := fs.Bool("pointsto", false, "print points-to solver diagnostics and proved heap kills")
+	maxConfFail := fs.Float64("max-confidence-fail", 0,
 		"exit with status 8 if any finding's confidence is at or above this threshold (0 disables); CI gate")
-	baselinePath := flag.String("baseline", "", "SARIF log whose fingerprints suppress known findings")
-	failOnNew := flag.Bool("fail-on-new", false, "exit 8 when findings outside the -baseline remain")
-	flag.Parse()
+	baselinePath := fs.String("baseline", "", "SARIF log whose fingerprints suppress known findings")
+	failOnNew := fs.Bool("fail-on-new", false, "exit 8 when findings outside the -baseline remain")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return cli.ExitOK
+		}
+		return cli.ExitUsage
+	}
+	v := &vetter{stdout: stdout, stderr: stderr, format: *format}
 
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
 		if err != nil {
-			return fail(err)
+			return v.fail(err)
 		}
-		baseline, err = report.ReadBaseline(data)
+		v.baseline, err = report.ReadBaseline(data)
 		if err != nil {
-			return fail(fmt.Errorf("reading baseline %s: %w", *baselinePath, err))
+			return v.fail(fmt.Errorf("reading baseline %s: %w", *baselinePath, err))
 		}
-		fmt.Fprintf(os.Stderr, "dragvet: baseline %s holds %d fingerprints\n", *baselinePath, baseline.Size())
+		fmt.Fprintf(stderr, "dragvet: baseline %s holds %d fingerprints\n", *baselinePath, v.baseline.Size())
 	}
 	if *failOnNew && *baselinePath == "" {
-		return fail(fmt.Errorf("-fail-on-new requires -baseline"))
+		return v.fail(fmt.Errorf("-fail-on-new requires -baseline"))
 	}
 
 	switch *format {
 	case "text", "json", "sarif":
 	default:
-		return fail(fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
+		return v.fail(fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
 	}
 	opts := lint.CrossOptions{TopN: *top, MinShare: *minShare, MinConfidence: *minConf}
 
 	if *benchName != "" {
-		if flag.NArg() != 0 {
-			return fail(fmt.Errorf("-bench and source files are mutually exclusive"))
+		if fs.NArg() != 0 {
+			return v.fail(fmt.Errorf("-bench and source files are mutually exclusive"))
 		}
 		targets := bench.All()
 		if *benchName != "all" {
 			b, err := bench.ByName(*benchName)
 			if err != nil {
-				return fail(err)
+				return v.fail(err)
 			}
 			targets = []*bench.Benchmark{b}
 		}
 		for _, b := range targets {
 			cp, err := b.Compile(bench.Original, bench.OriginalInput)
 			if err != nil {
-				return fail(err)
+				return v.fail(err)
 			}
 			res := lint.Run(cp.Program)
 			if len(targets) > 1 && *format == "text" {
-				fmt.Printf("== %s ==\n", b.Name)
+				fmt.Fprintf(stdout, "== %s ==\n", b.Name)
 			}
-			if err := render(res.Findings); err != nil {
-				return fail(err)
+			if err := v.render(res.Findings); err != nil {
+				return v.fail(err)
 			}
 			if *pointsTo {
-				pointsToDiagnostics(res)
+				v.pointsToDiagnostics(res)
 			}
-			noteConfidence(res.Findings)
+			v.noteConfidence(res.Findings)
 			if *doProfile {
 				rr, err := bench.Run(b, bench.Original, bench.OriginalInput,
 					bench.RunConfig{GCInterval: *interval})
 				if err != nil {
-					return fail(err)
+					return v.fail(err)
 				}
-				if err := crossReport(res.Findings, rr.Report, opts); err != nil {
-					return fail(err)
+				if err := v.crossReport(res.Findings, rr.Report, opts); err != nil {
+					return v.fail(err)
 				}
 			}
 		}
-		return confidenceGate(*maxConfFail, *failOnNew)
+		return v.confidenceGate(*maxConfFail, *failOnNew)
 	}
 
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: dragvet [flags] file.mj...  |  dragvet -bench name|all [flags]")
-		flag.PrintDefaults()
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: dragvet [flags] file.mj...  |  dragvet -bench name|all [flags]")
+		fs.PrintDefaults()
 		return cli.ExitUsage
 	}
 
-	names := flag.Args()
+	names := fs.Args()
 	sources := make(map[string]string, len(names))
 	for _, name := range names {
 		text, err := os.ReadFile(name)
 		if err != nil {
-			return fail(err)
+			return v.fail(err)
 		}
 		sources[name] = string(text)
 	}
 	p, _, err := mj.CompileWithStdlib(names, sources)
 	if err != nil {
-		return fail(err)
+		return v.fail(err)
 	}
 	res := lint.Run(p)
-	if err := render(res.Findings); err != nil {
-		return fail(err)
+	if err := v.render(res.Findings); err != nil {
+		return v.fail(err)
 	}
 	if *pointsTo {
-		pointsToDiagnostics(res)
+		v.pointsToDiagnostics(res)
 	}
-	noteConfidence(res.Findings)
+	v.noteConfidence(res.Findings)
 
 	if *against != "" {
 		f, err := os.Open(*against)
 		if err != nil {
-			return fail(err)
+			return v.fail(err)
 		}
 		prof, err := profile.ReadLog(f)
 		f.Close()
 		if err != nil {
-			return fail(err)
+			return v.fail(err)
 		}
-		if err := crossReport(res.Findings, drag.Analyze(prof, drag.Options{}), opts); err != nil {
-			return fail(err)
+		if err := v.crossReport(res.Findings, drag.Analyze(prof, drag.Options{}), opts); err != nil {
+			return v.fail(err)
 		}
 	}
 	if *doProfile {
 		rep, err := profileProgram(names, sources, *interval)
 		if err != nil {
-			return fail(err)
+			return v.fail(err)
 		}
-		if err := crossReport(res.Findings, rep, opts); err != nil {
-			return fail(err)
+		if err := v.crossReport(res.Findings, rep, opts); err != nil {
+			return v.fail(err)
 		}
 	}
-	return confidenceGate(*maxConfFail, *failOnNew)
+	return v.confidenceGate(*maxConfFail, *failOnNew)
 }
 
-// maxConfidence tracks the highest-confidence finding across every lint
-// target, for the -max-confidence-fail CI gate. baseline and newFindings
-// carry the -baseline / -fail-on-new state the same way.
-var (
-	maxConfidence float64
-	baseline      *report.Baseline
-	newFindings   int
-)
-
-func noteConfidence(fs []lint.Finding) {
+func (v *vetter) noteConfidence(fs []lint.Finding) {
 	for _, f := range fs {
-		if f.Confidence > maxConfidence {
-			maxConfidence = f.Confidence
+		if f.Confidence > v.maxConfidence {
+			v.maxConfidence = f.Confidence
 		}
 	}
-	if baseline != nil {
-		fresh, _ := report.FilterNew(lint.Diagnostics(fs), baseline)
-		newFindings += len(fresh)
+	if v.baseline != nil {
+		fresh, _ := report.FilterNew(lint.Diagnostics(fs), v.baseline)
+		v.newFindings += len(fresh)
 	}
 }
 
@@ -197,14 +216,14 @@ func noteConfidence(fs []lint.Finding) {
 // shared findings exit status, so scripts can tell a gate trip from a
 // crash. With -fail-on-new, findings whose fingerprints the -baseline
 // SARIF does not hold fail the same way.
-func confidenceGate(threshold float64, failOnNew bool) int {
-	if threshold > 0 && maxConfidence >= threshold {
-		fmt.Fprintf(os.Stderr, "dragvet: findings with confidence %.2f >= fail threshold %.2f\n",
-			maxConfidence, threshold)
+func (v *vetter) confidenceGate(threshold float64, failOnNew bool) int {
+	if threshold > 0 && v.maxConfidence >= threshold {
+		fmt.Fprintf(v.stderr, "dragvet: findings with confidence %.2f >= fail threshold %.2f\n",
+			v.maxConfidence, threshold)
 		return cli.ExitFindings
 	}
-	if failOnNew && newFindings > 0 {
-		fmt.Fprintf(os.Stderr, "dragvet: %d new findings not in the baseline\n", newFindings)
+	if failOnNew && v.newFindings > 0 {
+		fmt.Fprintf(v.stderr, "dragvet: %d new findings not in the baseline\n", v.newFindings)
 		return cli.ExitFindings
 	}
 	return cli.ExitOK
@@ -212,17 +231,17 @@ func confidenceGate(threshold float64, failOnNew bool) int {
 
 // pointsToDiagnostics prints the solver's shape and the heap-liveness
 // verdicts backing the proved findings.
-func pointsToDiagnostics(res *lint.Result) {
+func (v *vetter) pointsToDiagnostics(res *lint.Result) {
 	st := res.PT.Stats()
-	fmt.Printf("points-to: %d nodes, %d copy edges, %d load / %d store constraints, %d collapsed, %d iterations\n",
+	fmt.Fprintf(v.stdout, "points-to: %d nodes, %d copy edges, %d load / %d store constraints, %d collapsed, %d iterations\n",
 		st.Nodes, st.CopyEdges, st.LoadCs, st.StoreCs, st.Collapsed, st.Iterations)
 	if len(res.Heap.Kills) == 0 {
-		fmt.Println("heap-liveness: no proved phase kills")
+		fmt.Fprintln(v.stdout, "heap-liveness: no proved phase kills")
 		return
 	}
 	for i := range res.Heap.Kills {
 		k := &res.Heap.Kills[i]
-		fmt.Printf("heap-liveness: %s proved dead past guard @%d (bound %s), frees %d sites; use paths: %s\n",
+		fmt.Fprintf(v.stdout, "heap-liveness: %s proved dead past guard @%d (bound %s), frees %d sites; use paths: %s\n",
 			k.Path, k.GuardPC, k.Bound, len(k.HeldSites), strings.Join(k.UsePaths, ", "))
 	}
 }
@@ -243,44 +262,44 @@ func profileProgram(names []string, sources map[string]string, interval int64) (
 
 // render writes findings in the selected format. Multiple calls (bench
 // 'all' in text mode) are separated by the per-benchmark headers.
-func render(fs []lint.Finding) error {
+func (v *vetter) render(fs []lint.Finding) error {
 	var out string
 	var err error
-	switch flag.Lookup("format").Value.String() {
+	switch v.format {
 	case "json":
 		out, err = lint.JSON(fs)
 	case "sarif":
 		// With a baseline, results carry baselineState (new/unchanged) so
 		// downstream consumers can gate without re-reading the old log.
 		out, err = report.SARIFWithOptions(lint.ToolName, lint.ToolVersion,
-			lint.Rules(fs), lint.Diagnostics(fs), report.SARIFOptions{Baseline: baseline})
+			lint.Rules(fs), lint.Diagnostics(fs), report.SARIFOptions{Baseline: v.baseline})
 	default:
 		out = lint.Text(fs)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Println(out)
+	fmt.Fprintln(v.stdout, out)
 	return nil
 }
 
 // crossReport prints the static↔dynamic comparison in the selected format
 // (SARIF has no cross-validation shape, so it falls back to JSON).
-func crossReport(fs []lint.Finding, rep *drag.Report, opts lint.CrossOptions) error {
+func (v *vetter) crossReport(fs []lint.Finding, rep *drag.Report, opts lint.CrossOptions) error {
 	cr := lint.CrossValidate(fs, rep, opts)
-	if flag.Lookup("format").Value.String() == "text" {
-		fmt.Println(cr.Text())
+	if v.format == "text" {
+		fmt.Fprintln(v.stdout, cr.Text())
 		return nil
 	}
 	data, err := json.MarshalIndent(cr, "", "  ")
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(data))
+	fmt.Fprintln(v.stdout, string(data))
 	return nil
 }
 
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "dragvet:", err)
+func (v *vetter) fail(err error) int {
+	fmt.Fprintln(v.stderr, "dragvet:", err)
 	return cli.ExitFailure
 }

@@ -291,23 +291,14 @@ type AnalysisOptions struct {
 	NeverUsedWindowBytes int64
 }
 
-// Analyze runs the phase-2 drag analysis serially.
+// Analyze runs the phase-2 drag analysis on GOMAXPROCS workers. The
+// per-worker aggregates merge in record order, so the report is
+// byte-identical to a serial pass.
 func (pr *Profile) Analyze(opts AnalysisOptions) *Report {
-	r := drag.Analyze(pr.p, drag.Options{
-		NestDepth:       opts.NestDepth,
-		NeverUsedWindow: opts.NeverUsedWindowBytes,
-	})
-	return &Report{r: r, p: pr.p}
-}
-
-// AnalyzeParallel runs the phase-2 drag analysis fanned out over workers
-// goroutines (workers <= 0: GOMAXPROCS). The chunked aggregators merge in
-// record order, so the report is byte-identical to Analyze's.
-func (pr *Profile) AnalyzeParallel(opts AnalysisOptions, workers int) *Report {
 	r := drag.AnalyzeParallel(pr.p, drag.Options{
 		NestDepth:       opts.NestDepth,
 		NeverUsedWindow: opts.NeverUsedWindowBytes,
-	}, workers)
+	}, 0)
 	return &Report{r: r, p: pr.p}
 }
 

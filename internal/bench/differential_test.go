@@ -82,17 +82,21 @@ func TestDifferentialPipelines(t *testing.T) {
 			serial := drag.Analyze(fromText, drag.Options{})
 			want := serial.CanonicalDump()
 
-			// Fast pipeline: streamed parallel analysis of the binary log.
-			parallel, err := drag.AnalyzeLog(bytes.NewReader(gz.Bytes()), drag.Options{}, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := parallel.CanonicalDump(); !bytes.Equal(want, got) {
-				t.Error("(parallel, binary) site report differs from (serial, text)")
-			}
-			// And the in-memory parallel aggregator agrees too.
-			if got := drag.AnalyzeParallel(fromBin, drag.Options{}, 8).CanonicalDump(); !bytes.Equal(want, got) {
-				t.Error("AnalyzeParallel report differs from serial reference")
+			// Fast pipeline: streamed parallel analysis of the binary log,
+			// at every pool width (one worker is what compaction runs).
+			var parallel *drag.Report
+			for _, workers := range []int{1, 2, 8} {
+				parallel, err = drag.AnalyzeLog(bytes.NewReader(gz.Bytes()), drag.Options{}, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := parallel.CanonicalDump(); !bytes.Equal(want, got) {
+					t.Errorf("(parallel, binary) site report at %d workers differs from (serial, text)", workers)
+				}
+				// And the in-memory parallel aggregator agrees too.
+				if got := drag.AnalyzeParallel(fromBin, drag.Options{}, workers).CanonicalDump(); !bytes.Equal(want, got) {
+					t.Errorf("AnalyzeParallel report at %d workers differs from serial reference", workers)
+				}
 			}
 
 			// Integrals and Figure-2 curves, reconstructed from each round

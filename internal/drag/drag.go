@@ -4,6 +4,12 @@
 // allocation site and by last-use site, isolates never-used objects, and
 // classifies each site against the lifetime patterns of Section 3.4 to
 // suggest a rewriting strategy.
+//
+// Analyze is the serial reference. Every other analysis — of an in-memory
+// profile (Fold, AnalyzeParallel) or of a streamed log (FoldLog,
+// AnalyzeLog), in draganalyze, the library or the run store — runs through
+// one worker pool whose per-part Accumulators merge in record order, so
+// each is byte-identical to Analyze.
 package drag
 
 import (
@@ -242,29 +248,31 @@ func (r *Report) Sampled() bool { return r.SampleRate > 0 && r.SampleRate < 1 }
 // MB2 converts a byte² integral to MByte² (the paper's Table 2 unit).
 func MB2(v int64) float64 { return float64(v) / (1 << 40) }
 
-// Analyze runs the phase-2 analysis over a profile.
+// Analyze runs the phase-2 analysis over a profile serially: the
+// reference every other pipeline is held byte-identical to.
 func Analyze(p *profile.Profile, opts Options) *Report {
-	opts = opts.withDefaults(p)
-	a := newAggregator(p, opts)
+	a := NewAccumulator(p, opts)
 	for _, r := range p.Records {
-		a.add(r)
+		a.Add(r)
 	}
-	return a.report()
+	return a.Report()
 }
 
-// aggregator is the phase-2 accumulation state. The serial analyzer feeds
-// every record into one aggregator; the parallel analyzer (parallel.go)
-// builds one per record chunk and merges them in chunk order, which keeps
-// every per-group sequence (and hence every floating-point reduction)
-// byte-identical to the serial pass.
+// Accumulator is the phase-2 accumulation state and the unit of mergeable
+// drag state. Analyze feeds every record into one accumulator; the worker
+// pool (parallel.go) builds one per record part and merges them in part
+// order, which keeps every per-group sequence (and hence every
+// floating-point reduction) byte-identical to the serial pass. The run
+// store's compactor and draganalyze's multi-log mode merge whole runs the
+// same way; CheckMergeable states which runs may.
 //
 // The record path works on integers: a coarse group is found by site id,
 // and a nested-site group or last-use partition by the suffix index its
-// chain has in the aggregator's key table. Strings are rendered only when
-// the aggregator first meets a chain, or creates a group or a partition.
-// Aggregators over different tables (other blocks, other runs) merge by
+// chain has in the accumulator's key table. Strings are rendered only when
+// the accumulator first meets a chain, or creates a group or a partition.
+// Accumulators over different tables (other blocks, other runs) merge by
 // canonical key, once per group and partition, never per record.
-type aggregator struct {
+type Accumulator struct {
 	p    *profile.Profile
 	opts Options
 	rep  Report
@@ -284,11 +292,14 @@ type aggregator struct {
 	sampled bool
 }
 
-func newAggregator(p *profile.Profile, opts Options) *aggregator {
+// NewAccumulator returns an empty accumulator over p's tables. opts are
+// resolved against p's defaults immediately, so accumulators that will be
+// merged must be built with the same effective options.
+func NewAccumulator(p *profile.Profile, opts Options) *Accumulator {
 	rate := p.EffectiveSampleRate()
-	return &aggregator{
+	return &Accumulator{
 		p:       p,
-		opts:    opts,
+		opts:    opts.withDefaults(p),
 		keys:    newKeyTable(),
 		rate:    rate,
 		sampled: rate != 1,
@@ -333,8 +344,8 @@ func (t *keyTable) from(o *keyTable, k int32) int32 {
 
 // suffix returns the suffix index of a chain at the analysis depth,
 // rendering its key (and, for a new key, its description) only the first
-// time the aggregator meets the chain.
-func (a *aggregator) suffix(chain int32) int32 {
+// time the accumulator meets the chain.
+func (a *Accumulator) suffix(chain int32) int32 {
 	n := len(a.p.ChainNodes)
 	slot := n
 	if chain >= 0 && int(chain) < n {
@@ -356,14 +367,14 @@ func (a *aggregator) suffix(chain int32) int32 {
 	return k
 }
 
-func (a *aggregator) coarseGet(site int32) *groupAcc {
+func (a *Accumulator) coarseGet(site int32) *groupAcc {
 	if site >= 0 && int(site) < len(a.coarse) {
 		return a.coarse[site]
 	}
 	return a.coarseOther[site]
 }
 
-func (a *aggregator) coarsePut(site int32, g *groupAcc) {
+func (a *Accumulator) coarsePut(site int32, g *groupAcc) {
 	if n := len(a.p.Sites); site >= 0 && int(site) < n {
 		if a.coarse == nil {
 			a.coarse = make([]*groupAcc, n)
@@ -377,14 +388,14 @@ func (a *aggregator) coarsePut(site int32, g *groupAcc) {
 	a.coarseOther[site] = g
 }
 
-func (a *aggregator) fineGet(k int32) *groupAcc {
+func (a *Accumulator) fineGet(k int32) *groupAcc {
 	if int(k) < len(a.fine) {
 		return a.fine[k]
 	}
 	return nil
 }
 
-func (a *aggregator) finePut(k int32, g *groupAcc) {
+func (a *Accumulator) finePut(k int32, g *groupAcc) {
 	for int(k) >= len(a.fine) {
 		a.fine = append(a.fine, nil)
 	}
@@ -397,10 +408,10 @@ func (o Options) neverUsed(r *profile.Record) bool {
 	return !r.Used() || r.InUseTime() <= o.NeverUsedWindow
 }
 
-// add accumulates one trailer. Interned records are excluded from reports
-// (profile.Reported's filter, applied inline so streams need no
+// Add accumulates one trailer record. Interned records are excluded from
+// reports (profile.Reported's filter, applied inline so streams need no
 // materialized slice).
-func (a *aggregator) add(r *profile.Record) {
+func (a *Accumulator) Add(r *profile.Record) {
 	if r.Interned {
 		return
 	}
@@ -457,7 +468,7 @@ func (a *aggregator) add(r *profile.Record) {
 }
 
 // partition returns g's last-use partition for suffix index lu.
-func (a *aggregator) partition(g *groupAcc, lu int32) *PairGroup {
+func (a *Accumulator) partition(g *groupAcc, lu int32) *PairGroup {
 	pg, ok := g.lastUse[lu]
 	if !ok {
 		pg = &PairGroup{LastUseDesc: a.keys.descs[lu]}
@@ -471,8 +482,12 @@ func (pg *PairGroup) add(r *profile.Record) {
 	pg.Drag += r.Drag()
 }
 
-// merge folds b (covering a later, disjoint record range) into a.
-func (a *aggregator) merge(b *aggregator) {
+// Merge folds b into a. b must cover records that follow a's in record
+// order (later blocks of the same run, or later runs in a deterministic
+// run order); the ordered append keeps every per-group floating-point
+// reduction byte-identical to a serial pass over the concatenated records.
+// b must not be used afterwards.
+func (a *Accumulator) Merge(b *Accumulator) {
 	a.rep.TotalObjects += b.rep.TotalObjects
 	a.rep.TotalBytes += b.rep.TotalBytes
 	a.rep.ReachableIntegral += b.rep.ReachableIntegral
@@ -501,7 +516,7 @@ func (a *aggregator) merge(b *aggregator) {
 // by canonical key. Iteration order does not matter: every reduction is
 // either integer (commutative) or an ordered slice append, and src's
 // records follow dst's.
-func (a *aggregator) mergeGroup(dst, src *groupAcc, b *aggregator) *groupAcc {
+func (a *Accumulator) mergeGroup(dst, src *groupAcc, b *Accumulator) *groupAcc {
 	if dst == nil {
 		parts := src.lastUse
 		src.lastUse = make(map[int32]*PairGroup, len(parts))
@@ -535,8 +550,9 @@ func (a *aggregator) mergeGroup(dst, src *groupAcc, b *aggregator) *groupAcc {
 	return dst
 }
 
-// report finalizes the aggregation.
-func (a *aggregator) report() *Report {
+// Report finalizes the accumulated state. The receiver must not be used
+// afterwards.
+func (a *Accumulator) Report() *Report {
 	rep := a.rep
 	rep.Name = a.p.Name
 	rep.FinalClock = a.p.FinalClock
@@ -587,7 +603,7 @@ type groupAcc struct {
 	dragTimes []float64
 	samples   []estSample // sampled profiles only; record order
 	// lastUse holds the last-use partitions by suffix index in the owning
-	// aggregator's key table.
+	// accumulator's key table.
 	lastUse map[int32]*PairGroup
 }
 

@@ -1,0 +1,31 @@
+package drag
+
+import (
+	"errors"
+	"fmt"
+
+	"dragprof/internal/profile"
+)
+
+// ErrSiteTables is the error CheckMergeable wraps when two profiles' site
+// tables differ: the runs come from different builds.
+var ErrSiteTables = errors.New("drag: incompatible site tables")
+
+// CheckMergeable is the rule for folding two runs into one accumulator,
+// shared by the run store's compactor and draganalyze's multi-log mode.
+// Coarse groups key on the site id, so the site tables must agree, as they
+// do for repeated runs of one build. Nested-site groups and last-use
+// partitions merge by chain content (method, line), not chain id, so the
+// chain tables may differ: a sampled run interns only the chains of the
+// objects it sampled. The sample rates must match, because sampled and
+// exact runs (or two rates) scale their estimates differently; that error
+// wraps ErrRateMismatch, and mismatched site tables wrap ErrSiteTables.
+func CheckMergeable(a, b *profile.Profile) error {
+	if ra, rb := a.EffectiveSampleRate(), b.EffectiveSampleRate(); ra != rb {
+		return fmt.Errorf("%w (%g vs %g): sampled and exact runs cannot be merged", ErrRateMismatch, ra, rb)
+	}
+	if len(a.Sites) != len(b.Sites) {
+		return fmt.Errorf("%w (%d/%d sites): runs come from different builds", ErrSiteTables, len(a.Sites), len(b.Sites))
+	}
+	return nil
+}

@@ -1,7 +1,6 @@
 package drag
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -9,93 +8,55 @@ import (
 	"dragprof/internal/profile"
 )
 
-// The parallel analyzer: records are split into contiguous chunks, each
-// chunk is aggregated on its own goroutine, and the per-chunk aggregators
-// are merged in chunk order. Integer reductions commute; the only ordered
-// reduction (each group's drag-time sequence feeding mean/stddev) is kept
-// in record order by the ordered merge, so the parallel report is
-// byte-identical to the serial one — the differential golden tests in
-// internal/bench hold both pipelines to that.
+// The one worker pool: every analysis of a drag log runs through fold.
+// Records arrive as contiguous parts (chunks of an in-memory profile, or
+// blocks of a streamed log); each part is decoded and aggregated on its
+// own goroutine, and the per-part accumulators merge in the order the
+// parts were produced. Integer reductions commute; the only ordered
+// reductions (each group's drag-time and sample sequences feeding the
+// floating-point statistics) are kept in record order by the ordered
+// merge, so the result is byte-identical to Analyze's serial pass — the
+// differential golden tests in internal/bench hold every entry point to
+// that.
 
 // parallelThreshold is the record count below which chunking overhead
-// outweighs the fan-out and the serial path runs instead.
+// outweighs the fan-out and Fold runs on one worker instead.
 const parallelThreshold = 2048
 
-// AnalyzeParallel runs the phase-2 analysis over an in-memory profile on
-// workers goroutines (workers <= 0: GOMAXPROCS). The report is
-// byte-identical to Analyze's.
-func AnalyzeParallel(p *profile.Profile, opts Options, workers int) *Report {
-	opts = opts.withDefaults(p)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	recs := p.Records
-	if workers == 1 || len(recs) < parallelThreshold {
-		a := newAggregator(p, opts)
-		for _, r := range recs {
-			a.add(r)
-		}
-		return a.report()
-	}
-	// Oversplit by 4x so a chunk of slow records does not stall the tail.
-	chunk := (len(recs) + workers*4 - 1) / (workers * 4)
-	if chunk < parallelThreshold/2 {
-		chunk = parallelThreshold / 2
-	}
-	var chunks [][]*profile.Record
-	for i := 0; i < len(recs); i += chunk {
-		chunks = append(chunks, recs[i:min(i+chunk, len(recs))])
-	}
-	parts := make([]*aggregator, len(chunks))
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				a := newAggregator(p, opts)
-				for _, r := range chunks[i] {
-					a.add(r)
-				}
-				parts[i] = a
+// part yields one contiguous run of records.
+type part func() ([]*profile.Record, error)
+
+// fold aggregates the parts next yields (io.EOF after the last one) on
+// workers goroutines. At one worker it adds every record to a single
+// accumulator on the calling goroutine and starts no goroutine.
+func fold(p *profile.Profile, opts Options, workers int, next func() (part, error)) (*Accumulator, error) {
+	acc := NewAccumulator(p, opts)
+	if workers == 1 {
+		for {
+			pt, err := next()
+			if err == io.EOF {
+				return acc, nil
 			}
-		}()
-	}
-	for i := range chunks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return mergeParts(p, opts, parts)
-}
-
-func mergeParts(p *profile.Profile, opts Options, parts []*aggregator) *Report {
-	base := newAggregator(p, opts)
-	for _, a := range parts {
-		base.merge(a)
-	}
-	return base.report()
-}
-
-// AnalyzeLog streams a drag log (either format, auto-detected) straight
-// into the parallel analyzer: record blocks are decoded and aggregated on
-// workers goroutines without ever materializing the full record slice.
-// opts and the returned report are as in AnalyzeParallel.
-func AnalyzeLog(r io.Reader, opts Options, workers int) (*Report, error) {
-	s, err := profile.OpenLogStream(r)
-	if err != nil {
-		return nil, err
-	}
-	p := s.Profile()
-	opts = opts.withDefaults(p)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+			if err != nil {
+				return nil, err
+			}
+			recs, err := pt()
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range recs {
+				acc.Add(r)
+			}
+		}
 	}
 
+	type job struct {
+		index int
+		pt    part
+	}
 	var (
 		mu       sync.Mutex
-		parts    = make(map[int]*aggregator)
+		parts    []*Accumulator
 		firstErr error
 	)
 	setErr := func(err error) {
@@ -105,31 +66,32 @@ func AnalyzeLog(r io.Reader, opts Options, workers int) (*Report, error) {
 		}
 		mu.Unlock()
 	}
-	blocks := make(chan *profile.Block, workers)
+	// One queued part per worker lets the producer read ahead while every
+	// worker is busy, without buffering more than the pool can start.
+	jobs := make(chan job, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for blk := range blocks {
-				recs, err := blk.Decode()
+			for j := range jobs {
+				recs, err := j.pt()
 				if err != nil {
 					setErr(err)
 					continue
 				}
-				a := newAggregator(p, opts)
+				a := NewAccumulator(p, opts)
 				for _, r := range recs {
-					a.add(r)
+					a.Add(r)
 				}
 				mu.Lock()
-				parts[blk.Index] = a
+				parts[j.index] = a
 				mu.Unlock()
 			}
 		}()
 	}
-	nblocks := 0
-	for {
-		blk, err := s.Next()
+	for n := 0; ; n++ {
+		pt, err := next()
 		if err == io.EOF {
 			break
 		}
@@ -137,36 +99,82 @@ func AnalyzeLog(r io.Reader, opts Options, workers int) (*Report, error) {
 			setErr(err)
 			break
 		}
-		nblocks++
-		blocks <- blk
+		mu.Lock()
+		parts = append(parts, nil)
+		mu.Unlock()
+		jobs <- job{n, pt}
 	}
-	close(blocks)
+	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	ordered := make([]*aggregator, 0, nblocks)
-	for i := 0; i < nblocks; i++ {
-		a, ok := parts[i]
-		if !ok {
-			return nil, fmt.Errorf("drag: block %d missing from parallel aggregation", i)
-		}
-		ordered = append(ordered, a)
+	for _, a := range parts {
+		acc.Merge(a)
 	}
-	return mergeParts(p, opts, ordered), nil
+	return acc, nil
 }
 
-// AnalyzeLogSalvage analyzes as much of a damaged drag log as
-// profile.SalvageLog can vouch for. Salvage is inherently sequential (the
-// recovered set is the prefix before the first fault), so the records are
-// materialized first and then fanned out to the parallel analyzer; the
-// report is byte-identical to a serial Analyze over the same recovered
-// prefix. A non-nil error means the header or tables were damaged and
-// nothing was analyzable; the SalvageReport always describes what happened.
-func AnalyzeLogSalvage(r io.Reader, opts Options, workers int) (*Report, *profile.SalvageReport, error) {
-	p, sr, err := profile.SalvageLog(r)
-	if err != nil {
-		return nil, sr, err
+// poolSize resolves a workers argument: workers <= 0 means GOMAXPROCS.
+func poolSize(workers int) int {
+	if workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return AnalyzeParallel(p, opts, workers), sr, nil
+	return workers
+}
+
+// Fold aggregates an in-memory profile on workers goroutines (workers <= 0:
+// GOMAXPROCS). Profiles under parallelThreshold records fold on one worker.
+func Fold(p *profile.Profile, opts Options, workers int) *Accumulator {
+	workers = poolSize(workers)
+	recs := p.Records
+	if len(recs) < parallelThreshold {
+		workers = 1
+	}
+	// Oversplit by 4x so a chunk of slow records does not stall the tail.
+	chunk := max((len(recs)+workers*4-1)/(workers*4), parallelThreshold/2)
+	acc, _ := fold(p, opts, workers, func() (part, error) {
+		if len(recs) == 0 {
+			return nil, io.EOF
+		}
+		c := recs[:min(chunk, len(recs))]
+		recs = recs[len(c):]
+		return func() ([]*profile.Record, error) { return c, nil }, nil
+	})
+	return acc // in-memory parts cannot fail
+}
+
+// FoldLog aggregates a drag log stream block by block on workers goroutines
+// (workers <= 0: GOMAXPROCS), never materializing the full record slice.
+// The accumulator is over s.Profile()'s tables. A damaged block or a
+// stream fault is returned as the error.
+func FoldLog(s *profile.LogStream, opts Options, workers int) (*Accumulator, error) {
+	return fold(s.Profile(), opts, poolSize(workers), func() (part, error) {
+		blk, err := s.Next()
+		if err != nil {
+			return nil, err
+		}
+		return blk.Decode, nil
+	})
+}
+
+// AnalyzeParallel runs the phase-2 analysis over an in-memory profile
+// through Fold. The report is byte-identical to Analyze's.
+func AnalyzeParallel(p *profile.Profile, opts Options, workers int) *Report {
+	return Fold(p, opts, workers).Report()
+}
+
+// AnalyzeLog streams a drag log (either format, auto-detected) through
+// FoldLog and returns its report, byte-identical to Analyze's over the
+// same records.
+func AnalyzeLog(r io.Reader, opts Options, workers int) (*Report, error) {
+	s, err := profile.OpenLogStream(r)
+	if err != nil {
+		return nil, err
+	}
+	acc, err := FoldLog(s, opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	return acc.Report(), nil
 }

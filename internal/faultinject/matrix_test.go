@@ -102,13 +102,7 @@ func testTruncationMatrix(t *testing.T, name string, p *profile.Profile, data []
 			}
 		}
 
-		rep, sr2, err := drag.AnalyzeLogSalvage(bytes.NewReader(data[:end]), drag.Options{}, 4)
-		if err != nil {
-			t.Fatalf("salvage analyze after block %d: %v", k, err)
-		}
-		if sr2.RecordsRecovered != want {
-			t.Fatalf("salvage analyze after block %d recovered %d records", k, sr2.RecordsRecovered)
-		}
+		rep := drag.AnalyzeParallel(q, drag.Options{}, 4)
 		prefix := *p
 		prefix.Records = p.Records[:want]
 		serial := drag.Analyze(&prefix, drag.Options{})
@@ -238,7 +232,7 @@ func testBudgetAbort(t *testing.T, b *bench.Benchmark) []archivedReport {
 	if len(q.Records) != len(p.Records) {
 		t.Fatalf("salvaged %d of %d records", len(q.Records), len(p.Records))
 	}
-	if _, _, err := drag.AnalyzeLogSalvage(bytes.NewReader(buf.Bytes()), drag.Options{}, 4); err != nil {
+	if _, err := drag.AnalyzeLog(bytes.NewReader(buf.Bytes()), drag.Options{}, 4); err != nil {
 		t.Fatalf("analyze of aborted-run log: %v", err)
 	}
 	return []archivedReport{{Workload: b.Name, Fault: "budget-abort-1MB", Report: sr}}

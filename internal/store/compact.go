@@ -110,8 +110,10 @@ func (s *Store) Dirty() bool {
 // result is independent of ingest order, of the shard count and of which
 // server performed the merge. Compaction is single-flight: a call that
 // starts while another runs waits for it, then merges only what is still
-// dirty. workers is accepted for the RunStore contract; the fold is
-// serial.
+// dirty. workers is accepted for the RunStore contract and ignored: each
+// run folds on one worker, because compaction runs in the background on
+// the CPUs ingest folds on, and a wider pool would hold every block's
+// accumulator until the final merge.
 func (s *Store) Compact(workers int) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -156,10 +158,10 @@ func (s *Store) Compact(workers int) error {
 	return nil
 }
 
-// mergeWorkload merges one workload's runs into a single summary. Every
-// run is re-aggregated from its stored log and folded into the running
-// accumulator via the same merge the parallel analyzer uses for its block
-// shards; sorted-id order makes the fold deterministic.
+// mergeWorkload merges one workload's runs into a single summary. Each
+// run's stored log streams through drag.FoldLog on one worker (Compact
+// says why), and the per-run accumulators merge in sorted-id order, which
+// makes the fold deterministic.
 func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, error) {
 	var (
 		acc  *drag.Accumulator
@@ -170,15 +172,16 @@ func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, erro
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		p, err := profile.ReadLog(f)
+		var runAcc *drag.Accumulator
+		stream, err := profile.OpenLogStream(f)
+		if err == nil {
+			runAcc, err = drag.FoldLog(stream, drag.Options{}, 1)
+		}
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("store: compacting run %s: %w", id, err)
 		}
-		runAcc := drag.NewAccumulator(p, drag.Options{})
-		for _, r := range p.Records {
-			runAcc.Add(r)
-		}
+		p := stream.Profile()
 		if acc == nil {
 			base, acc = p, runAcc
 			continue

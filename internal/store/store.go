@@ -50,7 +50,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -429,20 +428,19 @@ func (s *Store) Report(id string, opts drag.Options, workers int) (*drag.Report,
 	return rep, nil
 }
 
-// Ingest stores one uploaded drag log, streaming it block-by-block through
-// profile.LogStream: blocks are decoded and aggregated on a workers-sized
-// goroutine pool (mirroring drag.AnalyzeLog) while the raw bytes spool to
-// disk under a running SHA-256. A damaged upload falls back to the salvage
-// path: the intact prefix (exactly profile.SalvageLog's output) is
-// re-encoded and stored, and the fault is described in Salvage — the
-// caller rejects the upload, but the salvageable evidence is kept.
+// Ingest stores one uploaded drag log, streaming it block by block: it
+// opens the profile.LogStream itself, because the run's metadata needs the
+// stream's name, format, compression and record and block counts, and
+// folds it through drag.FoldLog on workers goroutines (workers <= 0:
+// GOMAXPROCS) while the raw bytes spool to disk under a running SHA-256.
+// A damaged upload falls back to the salvage path: the intact prefix
+// (exactly profile.SalvageLog's output) is re-encoded and stored, and the
+// fault is described in Salvage — the caller rejects the upload, but the
+// salvageable evidence is kept.
 //
 // A non-nil error reports an internal store fault (disk I/O); upload
 // damage is never an error.
 func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	tmp, err := s.fs.CreateTemp(filepath.Join(s.root, "tmp"), "ingest-*.spool")
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -458,7 +456,11 @@ func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
 	spool := &spoolWriter{f: tmp}
 	tee := io.TeeReader(body, io.MultiWriter(spool, hash, size))
 
-	rep, stream, streamErr := ingestStream(tee, workers)
+	var acc *drag.Accumulator
+	stream, streamErr := profile.OpenLogStream(tee)
+	if streamErr == nil {
+		acc, streamErr = drag.FoldLog(stream, drag.Options{}, workers)
+	}
 	// Drain whatever the parser left unread so the spool and hash cover the
 	// complete upload: the run id must be the digest of the bytes as sent,
 	// and the salvage path must see exactly what a local SalvageLog over
@@ -504,82 +506,9 @@ func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
 	}
 	res := &IngestResult{Meta: meta, Duplicate: dup}
 	if !dup {
-		res.Report = rep
+		res.Report = acc.Report()
 	}
 	return res, nil
-}
-
-// ingestStream drives the block pipeline: the main goroutine pulls blocks
-// off the stream while the pool decodes and aggregates them; per-block
-// accumulators merge in block order, so the report is byte-identical to
-// drag.AnalyzeLog (and hence to a serial pass).
-func ingestStream(r io.Reader, workers int) (*drag.Report, *profile.LogStream, error) {
-	stream, err := profile.OpenLogStream(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := stream.Profile()
-	var (
-		mu       sync.Mutex
-		parts    = make(map[int]*drag.Accumulator)
-		firstErr error
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	blocks := make(chan *profile.Block, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for blk := range blocks {
-				recs, err := blk.Decode()
-				if err != nil {
-					setErr(err)
-					continue
-				}
-				acc := drag.NewAccumulator(p, drag.Options{})
-				for _, r := range recs {
-					acc.Add(r)
-				}
-				mu.Lock()
-				parts[blk.Index] = acc
-				mu.Unlock()
-			}
-		}()
-	}
-	nblocks := 0
-	for {
-		blk, err := stream.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			setErr(err)
-			break
-		}
-		nblocks++
-		blocks <- blk
-	}
-	close(blocks)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, nil, firstErr
-	}
-	acc := drag.NewAccumulator(p, drag.Options{})
-	for i := 0; i < nblocks; i++ {
-		part, ok := parts[i]
-		if !ok {
-			return nil, nil, fmt.Errorf("store: block %d missing from sharded ingest", i)
-		}
-		acc.Merge(part)
-	}
-	return acc.Report(), stream, nil
 }
 
 // salvageSpool handles a damaged upload: re-reads the spooled prefix, runs
@@ -604,7 +533,6 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	if err := profile.WriteBinaryLog(&buf, p, profile.BinaryOptions{}); err != nil {
 		return nil, fmt.Errorf("store: re-encoding salvaged run: %w", err)
 	}
-	rep := drag.AnalyzeParallel(p, drag.Options{}, workers)
 	sum := sha256.Sum256(buf.Bytes())
 	meta := &RunMeta{
 		ID:           hex.EncodeToString(sum[:]),
@@ -642,7 +570,7 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	}
 	res := &IngestResult{Meta: meta, Salvage: sr, Duplicate: dup}
 	if !dup {
-		res.Report = rep
+		res.Report = drag.AnalyzeParallel(p, drag.Options{}, workers)
 	}
 	return res, nil
 }

@@ -60,11 +60,14 @@ type Candidate struct {
 // holding the object — once the analyses validate it. Patterns with no
 // rewrite are ignored, dead code among them: removal needs the flow
 // analysis to prove the site never used, and the proved tier already
-// attempted every reachable site it proves. Candidates are deduplicated
-// and visited in site-id order, lazy allocation (which grows and reroutes
-// code) first, then null insertion (which shifts pcs), so the transformed
-// bytecode does not depend on how the profile ranked them. Unknown or
-// unsuitable sites produce rejected actions, not errors.
+// attempted every reachable site it proves. So are assign-null candidates
+// whose object is not stored in a local: null assignment here clears only
+// locals, and the proved tier's phase kills are the one path that nulls a
+// field. Candidates are deduplicated and visited in site-id order, lazy
+// allocation (which grows and reroutes code) first, then null insertion
+// (which shifts pcs), so the transformed bytecode does not depend on how
+// the profile ranked them. Other unsuitable sites produce rejected
+// actions, not errors.
 //
 // The program is modified in place and re-verified afterwards.
 func Rewrite(p *bytecode.Program, cands []Candidate) ([]Action, error) {
@@ -119,10 +122,14 @@ func Rewrite(p *bytecode.Program, cands []Candidate) ([]Action, error) {
 	seen := make(map[Candidate]bool, len(cands))
 	var todo []Candidate
 	for _, c := range cands {
-		if stage(c.Pattern) >= 0 && c.Site >= 0 && int(c.Site) < len(p.Sites) && !seen[c] {
-			seen[c] = true
-			todo = append(todo, c)
+		if seen[c] || stage(c.Pattern) < 0 || c.Site < 0 || int(c.Site) >= len(p.Sites) {
+			continue
 		}
+		seen[c] = true
+		if c.Pattern == drag.PatternAssignNull && !storedInLocal(p, c.Site) {
+			continue
+		}
+		todo = append(todo, c)
 	}
 	sort.Slice(todo, func(i, j int) bool {
 		if si, sj := stage(todo[i].Pattern), stage(todo[j].Pattern); si != sj {
@@ -157,6 +164,13 @@ func stage(p drag.Pattern) int {
 		return 1
 	}
 	return -1
+}
+
+// storedInLocal reports whether a site's allocation statement stores the
+// new object in a local, the only holder nullifyAroundSite can clear.
+func storedInLocal(p *bytecode.Program, site int32) bool {
+	st, err := DescribeSite(p, site)
+	return err == nil && st.Consumer == bytecode.StoreLocal
 }
 
 // applyValidated applies the rewrite a candidate's pattern suggests.

@@ -382,3 +382,65 @@ func TestLazyGuardPlacementMinimal(t *testing.T) {
 		t.Fatalf("output changed: %q vs %q", out, orig)
 	}
 }
+
+const holdersSrc = `
+class Holder {
+    int[] data;
+    Holder() {
+        this.data = new int[64];
+    }
+}
+class Main {
+    static void main() {
+        Holder h = new Holder();
+        h.data[0] = 3;
+        int[] big = new int[30000];
+        big[0] = 7;
+        int x = big[0];
+        printInt(x + h.data[0]);
+    }
+}`
+
+// TestRewriteDropsFieldHeldAssignNull: the validated tier plans null
+// assignment only for sites whose object a local holds. A field-held
+// candidate produces no action at all, not a rejected one.
+func TestRewriteDropsFieldHeldAssignNull(t *testing.T) {
+	p := compile(t, holdersSrc)
+	site := func(what string) int32 {
+		for _, s := range p.Sites {
+			if strings.Contains(s.Desc, what) {
+				return s.ID
+			}
+		}
+		t.Fatalf("no site matching %q in %+v", what, p.Sites)
+		return -1
+	}
+	field, local := site("Holder.<init>:5"), site("Main.main:12")
+	for s, want := range map[int32]bytecode.Op{field: bytecode.PutField, local: bytecode.StoreLocal} {
+		if st, err := transform.DescribeSite(p, s); err != nil || st.Consumer != want {
+			t.Fatalf("site %d: DescribeSite = %+v, %v; want consumer %s", s, st, err, want)
+		}
+	}
+	actions, err := transform.Rewrite(p, []transform.Candidate{
+		{Site: field, Pattern: drag.PatternAssignNull},
+		{Site: local, Pattern: drag.PatternAssignNull},
+	})
+	if err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	var sawLocal bool
+	for _, a := range actions {
+		if a.Tier != transform.TierValidated {
+			continue
+		}
+		switch a.Site {
+		case field:
+			t.Errorf("field-held site planned: %+v", a)
+		case local:
+			sawLocal = a.Applied
+		}
+	}
+	if !sawLocal {
+		t.Errorf("local-held site not rewritten; actions: %+v", actions)
+	}
+}
