@@ -22,8 +22,8 @@ type binlogGolden struct {
 // which is blind to how the recorder numbers chains or orders trailers; these
 // hashes pin the recorder's output itself, byte for byte, so a change to the
 // VM's event path that renumbers one chain id, moves one clock value or
-// drops one use event fails here. The gen/ entries are exact runs under the
-// generational collector. Beside each log they pin the executed
+// drops one use event fails here. The gen/ and mc/ entries are exact runs
+// under the generational and mark-compact collectors. Beside each log they pin the executed
 // instruction count, the runtime-unit cost and a hash of the program
 // output, so the interpreter cannot trade work for speed unnoticed.
 var goldenBinaryLogs = map[string]binlogGolden{
@@ -39,6 +39,9 @@ var goldenBinaryLogs = map[string]binlogGolden{
 	"gen/jack":         {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18299034, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
 	"gen/javac":        {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10148779, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
 	"gen/jess":         {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5722457, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
+	"mc/jack":          {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"mc/javac":         {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"mc/jess":          {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
 	"sampled/analyzer": {"7cf4c70e5a0cf6ccb2b0ff4db060db310de5fc3b1fa3f04c8aab3088c2aa9010", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
 	"sampled/db":       {"ce2deca927e88a9668135ec878d4633d57cfa94f6f77cbcd893bdab284fc88a7", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
 	"sampled/euler":    {"6a692be7685b58472b662dcd8369af6ae3d05fd8106198b3e081e6dc8b421028", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
@@ -49,6 +52,10 @@ var goldenBinaryLogs = map[string]binlogGolden{
 	"sampled/mc":       {"6699cd9c38959f8263cdf719bd79df8d0c8bc97b2a12929c17dff84d69a4f529", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
 	"sampled/raytrace": {"00011ab8a9cb181d1eca271c826ae1ba391fbfba166fc6a3001e3cd4f5df7176", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
 }
+
+// collectorGoldenNames are the programs also pinned under the generational
+// (gen/) and mark-compact (mc/) collectors.
+var collectorGoldenNames = []string{"javac", "jack", "jess"}
 
 func TestGoldenBinaryLogs(t *testing.T) {
 	got := map[string]binlogGolden{}
@@ -66,17 +73,28 @@ func TestGoldenBinaryLogs(t *testing.T) {
 		got["sampled/"+name] = binlogOf(t, r)
 	}
 	// The generational collector takes minor collections at safepoints,
-	// a path the mark-sweep runs above never reach.
-	for _, name := range []string{"javac", "jack", "jess"} {
+	// a path the mark-sweep runs above never reach; mark-compact relocates
+	// every survivor after each sweep.
+	for _, name := range collectorGoldenNames {
 		b, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Run(b, Original, OriginalInput, RunConfig{Collector: vm.Generational})
-		if err != nil {
-			t.Fatal(err)
+		for prefix, col := range map[string]vm.CollectorKind{"gen/": vm.Generational, "mc/": vm.MarkCompact} {
+			r, err := Run(b, Original, OriginalInput, RunConfig{Collector: col})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[prefix+name] = binlogOf(t, r)
 		}
-		got["gen/"+name] = binlogOf(t, r)
+	}
+	// A deep GC reclaims everything unreachable, so an exact log cannot
+	// depend on which collector ran it.
+	for _, name := range collectorGoldenNames {
+		ms := got["exact/"+name].log
+		if mc, gen := got["mc/"+name].log, got["gen/"+name].log; mc != ms || gen != ms {
+			t.Errorf("%s: exact logs differ across collectors: mark-sweep %s, mark-compact %s, generational %s", name, ms, mc, gen)
+		}
 	}
 
 	keys := make([]string, 0, len(got))
