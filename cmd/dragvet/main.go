@@ -16,10 +16,10 @@
 //	dragvet -profile -bench jack
 //
 // Exit codes: 0 success, 1 failure (unreadable input, a source that does
-// not compile, an unknown -format or -bench, -fail-on-new without
-// -baseline), 2 usage (no sources and no -bench), 8 findings (a finding at
-// or above -max-confidence-fail, or findings outside the -baseline under
-// -fail-on-new).
+// not compile, an unknown -bench, -fail-on-new without -baseline), 2 usage
+// (no sources and no -bench, an unknown -format, -bench given with source
+// files), 8 findings (a finding at or above -max-confidence-fail, or
+// findings outside the -baseline under -fail-on-new).
 package main
 
 import (
@@ -80,6 +80,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitUsage
 	}
 	v := &vetter{stdout: stdout, stderr: stderr, format: *format}
+	switch *format {
+	case "text", "json", "sarif":
+	default:
+		return v.usage(fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
+	}
+	if *benchName != "" && fs.NArg() != 0 {
+		return v.usage(fmt.Errorf("-bench and source files are mutually exclusive"))
+	}
 
 	if *baselinePath != "" {
 		data, err := os.ReadFile(*baselinePath)
@@ -96,17 +104,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return v.fail(fmt.Errorf("-fail-on-new requires -baseline"))
 	}
 
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		return v.fail(fmt.Errorf("unknown format %q (want text, json or sarif)", *format))
-	}
 	opts := lint.CrossOptions{TopN: *top, MinShare: *minShare, MinConfidence: *minConf}
 
 	if *benchName != "" {
-		if fs.NArg() != 0 {
-			return v.fail(fmt.Errorf("-bench and source files are mutually exclusive"))
-		}
 		targets := bench.All()
 		if *benchName != "all" {
 			b, err := bench.ByName(*benchName)
@@ -297,6 +297,11 @@ func (v *vetter) crossReport(fs []lint.Finding, rep *drag.Report, opts lint.Cros
 	}
 	fmt.Fprintln(v.stdout, string(data))
 	return nil
+}
+
+func (v *vetter) usage(err error) int {
+	fmt.Fprintln(v.stderr, "dragvet:", err)
+	return cli.ExitUsage
 }
 
 func (v *vetter) fail(err error) int {

@@ -81,11 +81,11 @@ func TestRunExitCodes(t *testing.T) {
 		{"findings outside the baseline", []string{"-baseline", cleanBase, "-fail-on-new", findings}, cli.ExitFindings, "", "new findings not in the baseline"},
 		{"no sources", nil, cli.ExitUsage, "", "usage: dragvet"},
 		{"unknown flag", []string{"-nope", clean}, cli.ExitUsage, "", "flag provided but not defined"},
-		{"unknown format", []string{"-format", "xml", clean}, cli.ExitFailure, "", `unknown format "xml"`},
+		{"unknown format", []string{"-format", "xml", clean}, cli.ExitUsage, "", `unknown format "xml"`},
 		{"missing file", []string{filepath.Join(dir, "absent.mj")}, cli.ExitFailure, "", "no such file"},
 		{"source fails to compile", []string{broken}, cli.ExitFailure, "", "dragvet:"},
 		{"unknown benchmark", []string{"-bench", "nope"}, cli.ExitFailure, "", "dragvet:"},
-		{"bench with sources", []string{"-bench", "jack", clean}, cli.ExitFailure, "", "mutually exclusive"},
+		{"bench with sources", []string{"-bench", "jack", clean}, cli.ExitUsage, "", "mutually exclusive"},
 		{"fail-on-new without baseline", []string{"-fail-on-new", findings}, cli.ExitFailure, "", "requires -baseline"},
 		{"unreadable baseline", []string{"-baseline", filepath.Join(dir, "absent.sarif"), clean}, cli.ExitFailure, "", "no such file"},
 	}

@@ -8,7 +8,9 @@
 // The package also implements the paper's "deep GC" (Section 2.1.1): a
 // collection, followed by running every pending finalizer, followed by a
 // second collection, which guarantees prompt reclamation of everything
-// unreachable and removes finalization nondeterminism.
+// unreachable and removes finalization nondeterminism. When no finalizer
+// is pending the second collection could free nothing, so it is charged
+// rather than run.
 package gc
 
 import (
@@ -76,6 +78,18 @@ type Collector interface {
 	// NoteAlloc informs the collector of a new allocation (generational
 	// bookkeeping). Collectors that do not care ignore it.
 	NoteAlloc(h heap.Handle, o *heap.Object)
+	// ChargeIdle accounts, without running it, for a full cycle right
+	// after a full cycle that enqueued no finalizer and marked marked
+	// objects, with no mutator step between them. Such a cycle marks the
+	// same objects and frees, promotes and enqueues nothing, so its stats
+	// are one major collection and marked marks. It returns those stats.
+	ChargeIdle(marked int64) Stats
+}
+
+// idleStats is the stats of a full cycle that marks marked objects and
+// changes nothing.
+func idleStats(marked int64) Stats {
+	return Stats{Collections: 1, MajorCollections: 1, Marked: marked}
 }
 
 // Barrier is implemented by collectors needing a write barrier on reference
@@ -110,6 +124,9 @@ func markFrom(hp *heap.Heap, work []heap.Handle) int64 {
 		}
 		o.Mark = true
 		marked++
+		if !o.HoldsRefs() {
+			continue
+		}
 		for _, v := range o.Slots {
 			if v.IsRef && !v.H.IsNull() {
 				work = append(work, v.H)
@@ -156,6 +173,13 @@ func (c *MarkSweep) DrainFinalizers() []heap.Handle {
 	q := c.finalizeQ
 	c.finalizeQ = nil
 	return q
+}
+
+// ChargeIdle implements Collector.
+func (c *MarkSweep) ChargeIdle(marked int64) Stats {
+	st := idleStats(marked)
+	c.total.Add(st)
+	return st
 }
 
 // Collect implements Collector. Every cycle is a full cycle.
@@ -210,12 +234,18 @@ func (c *MarkSweep) Collect(bool) Stats {
 
 // DeepGC performs the paper's deep collection: collect, run all pending
 // finalizers through runFinalizers, then collect again so objects freshly
-// unreachable after finalization are reclaimed immediately. runFinalizers
-// may be nil when the program declares no finalizers.
+// unreachable after finalization are reclaimed immediately. When the first
+// cycle leaves no finalizer to run, nothing can have become unreachable
+// since, and the second cycle is charged through ChargeIdle instead of run.
+// runFinalizers may be nil when the program declares no finalizers.
 func DeepGC(c Collector, runFinalizers func([]heap.Handle)) Stats {
 	st := c.Collect(true)
 	q := c.DrainFinalizers()
-	if len(q) > 0 && runFinalizers != nil {
+	if len(q) == 0 {
+		st.Add(c.ChargeIdle(st.Marked))
+		return st
+	}
+	if runFinalizers != nil {
 		runFinalizers(q)
 	}
 	st.Add(c.Collect(true))

@@ -1,20 +1,26 @@
 package gc_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"dragprof/internal/bytecode"
 	"dragprof/internal/gc"
 	"dragprof/internal/heap"
 )
 
-// rootSet is a test mutator: an explicit list of root handles.
+// rootSet is a test mutator: an explicit list of root handles. visits
+// counts the collections that traced from it.
 type rootSet struct {
-	roots []heap.Handle
+	roots  []heap.Handle
+	visits int
 }
 
 func (r *rootSet) VisitRoots(visit func(heap.Handle)) {
+	r.visits++
 	for _, h := range r.roots {
 		visit(h)
 	}
@@ -258,6 +264,106 @@ func TestDeepGC(t *testing.T) {
 	}
 	if st.Collections != 2 {
 		t.Errorf("deep GC ran %d cycles, want 2", st.Collections)
+	}
+}
+
+// idleTwin builds one of several identical heaps for
+// TestDeepGCChargesIdleCycle: a random object graph, rooted primitive
+// arrays (one materialized), a rooted finalizable object and, for the
+// generational collector, an old generation under a fresh nursery. No
+// unreachable object is finalizable, so a full cycle enqueues nothing.
+func idleTwin(kind string, seed int64) (*heap.Heap, *rootSet, gc.Collector) {
+	hp := heap.New(1 << 22)
+	roots := &rootSet{}
+	var col gc.Collector
+	switch kind {
+	case "generational":
+		col = gc.NewGenerational(hp, roots, 1<<12)
+	default:
+		ms := gc.NewMarkSweep(hp, roots)
+		ms.Compact = kind == "mark-compact"
+		col = ms
+	}
+	alloc := func(h heap.Handle, err error) heap.Handle {
+		if err != nil {
+			panic(err)
+		}
+		col.NoteAlloc(h, hp.Get(h))
+		return h
+	}
+	rng := rand.New(rand.NewSource(seed))
+	all, _ := buildGraph(hp, rng, 120, roots)
+	for _, h := range all {
+		col.NoteAlloc(h, hp.Get(h))
+	}
+	col.Collect(false) // promotes the generational survivors
+	buildGraph(hp, rng, 80, roots)
+	ints := alloc(hp.AllocArray(bytecode.ElemInt, 64))
+	hp.Get(ints).Set(3, heap.IntValue(7))
+	chars := alloc(hp.AllocArray(bytecode.ElemChar, 16))
+	fin := alloc(hp.AllocObject(0, 1, []bool{true}, true))
+	hp.Get(fin).Slots[0] = heap.RefValue(chars)
+	roots.roots = append(roots.roots, ints, fin)
+	alloc(hp.AllocArray(bytecode.ElemInt, 8)) // garbage
+	roots.visits = 0
+	return hp, roots, col
+}
+
+// heapState renders every live object's handle, address and collector
+// bookkeeping, in handle order.
+func heapState(hp *heap.Heap) string {
+	var b strings.Builder
+	hp.ForEach(func(h heap.Handle, o *heap.Object) bool {
+		fmt.Fprintf(&b, "%d@%d:%v/%d/%v/%v ", h, o.Addr, o.Mark, o.Age, o.InOld, o.Finalizable)
+		return true
+	})
+	return b.String()
+}
+
+func TestDeepGCChargesIdleCycle(t *testing.T) {
+	// On twin heaps, a full cycle right after one that enqueued no
+	// finalizer must have exactly the stats ChargeIdle charges, and leave
+	// the heap as it found it; gc.DeepGC must then charge, not run, it.
+	for _, kind := range []string{"mark-sweep", "mark-compact", "generational"} {
+		for seed := int64(1); seed <= 5; seed++ {
+			hpRun, _, run := idleTwin(kind, seed)
+			hpIdle, _, idle := idleTwin(kind, seed)
+			hpDeep, rootsDeep, deep := idleTwin(kind, seed)
+
+			first := run.Collect(true)
+			if q := run.DrainFinalizers(); len(q) != 0 || first.Freed == 0 {
+				t.Fatalf("%s seed %d: first cycle enqueued %d and freed %d; the test needs 0 and some", kind, seed, len(q), first.Freed)
+			}
+			second := run.Collect(true)
+
+			if got := idle.Collect(true); got != first {
+				t.Fatalf("%s seed %d: twin heaps differ: first cycles %+v and %+v", kind, seed, first, got)
+			}
+			if q := idle.DrainFinalizers(); len(q) != 0 {
+				t.Fatalf("%s seed %d: twin enqueued %d", kind, seed, len(q))
+			}
+			if charged := idle.ChargeIdle(first.Marked); charged != second {
+				t.Errorf("%s seed %d: ChargeIdle = %+v, second Collect(true) = %+v", kind, seed, charged, second)
+			}
+			if idle.TotalStats() != run.TotalStats() {
+				t.Errorf("%s seed %d: total stats %+v, want %+v", kind, seed, idle.TotalStats(), run.TotalStats())
+			}
+			if heapState(hpIdle) != heapState(hpRun) || hpIdle.Used() != hpRun.Used() {
+				t.Errorf("%s seed %d: the second cycle changed the heap", kind, seed)
+			}
+
+			want := first
+			want.Add(second)
+			if st := gc.DeepGC(deep, nil); st != want {
+				t.Errorf("%s seed %d: DeepGC = %+v, want %+v", kind, seed, st, want)
+			}
+			if deep.TotalStats() != run.TotalStats() || heapState(hpDeep) != heapState(hpRun) {
+				t.Errorf("%s seed %d: DeepGC differs from two full cycles", kind, seed)
+			}
+			if rootsDeep.visits != 1 {
+				t.Errorf("%s seed %d: DeepGC traced %d times, want 1", kind, seed, rootsDeep.visits)
+			}
+		}
 	}
 }
 

@@ -101,6 +101,15 @@ func (c *Generational) Collect(full bool) Stats {
 	return st
 }
 
+// ChargeIdle implements Collector. After a major cycle the nursery is
+// empty and the remembered set clear, so an idle major cycle changes
+// neither.
+func (c *Generational) ChargeIdle(marked int64) Stats {
+	st := idleStats(marked)
+	c.total.Add(st)
+	return st
+}
+
 func (c *Generational) minor() Stats {
 	var st Stats
 	st.Collections = 1
@@ -183,6 +192,9 @@ func (c *Generational) markYoungFrom(work []heap.Handle) int64 {
 		}
 		o.Mark = true
 		marked++
+		if !o.HoldsRefs() {
+			continue
+		}
 		for _, v := range o.Slots {
 			if v.IsRef && !v.H.IsNull() {
 				work = append(work, v.H)

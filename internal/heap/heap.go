@@ -8,8 +8,10 @@
 package heap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dragprof/internal/bytecode"
 )
@@ -73,14 +75,12 @@ const (
 )
 
 // Object is the storage of one heap object. Collector bookkeeping (mark
-// bit, age, generation) lives here so collectors need no side tables.
+// bit, age, generation) and the use half of the profiler's trailer live
+// here, so neither collectors nor the VM's use events need side tables.
+// Fields are ordered to keep the struct at 96 bytes.
 type Object struct {
 	// Class is the class id for instances; -1 for arrays.
 	Class int32
-	// Kind distinguishes instances from arrays.
-	Kind Kind
-	// Elem is the element kind for arrays.
-	Elem bytecode.ElemKind
 	// Count is the number of slots (array length or field count).
 	Count int32
 	// Slots holds field values (instances) or elements (arrays).
@@ -98,6 +98,26 @@ type Object struct {
 	// AllocID is a unique, monotonically increasing allocation id.
 	AllocID uint64
 
+	// LastUse, Uses, LastUseChain and LastUseKind are the use half of the
+	// profiler's trailer (Section 2.1.1): the allocation clock at the last
+	// use, the number of uses, the interned nested site of the last use
+	// and its kind (a vm.UseKind). The VM writes them in place on every
+	// use of an observed object; the profiler copies them out when the
+	// object is reclaimed or the program ends. They mean nothing while
+	// Uses is 0.
+	LastUse      int64
+	Uses         int64
+	LastUseChain int32
+
+	// MonitorCount is the monitor entry count (monitorenter/monitorexit).
+	MonitorCount int32
+
+	// Kind distinguishes instances from arrays.
+	Kind Kind
+	// Elem is the element kind for arrays.
+	Elem        bytecode.ElemKind
+	LastUseKind uint8
+
 	// Mark is the tracing mark bit.
 	Mark bool
 	// Age counts minor collections survived (generational collector).
@@ -108,8 +128,6 @@ type Object struct {
 	// Finalizable is true when the object's class declares finalize()
 	// and the finalizer has not yet been enqueued.
 	Finalizable bool
-	// MonitorCount is the monitor entry count (monitorenter/monitorexit).
-	MonitorCount int32
 	// Interned marks VM-interned objects (string literals); the profiler
 	// excludes them from reports, as the paper excludes constant-pool
 	// strings.
@@ -119,6 +137,13 @@ type Object struct {
 	// on, use events are emitted only for sampled objects, so unsampled
 	// ones carry zero profiling overhead past the allocation countdown.
 	Sampled bool
+}
+
+// HoldsRefs reports whether any slot of o may hold a reference: o is an
+// instance or a reference array. Tracing skips the slots of every other
+// object, the primitive arrays.
+func (o *Object) HoldsRefs() bool {
+	return o.Kind == KindObject || o.Elem == bytecode.ElemRef
 }
 
 // Len returns the number of slots (array length or field count).
@@ -359,42 +384,13 @@ func (hp *Heap) Compact() {
 		live = append(live, o)
 		return true
 	})
-	// Preserve address order, as a sliding compactor would.
-	sortByAddr(live)
+	// Preserve address order, as a sliding compactor would. Addresses
+	// of live objects are unique.
+	slices.SortFunc(live, func(a, b *Object) int { return cmp.Compare(a.Addr, b.Addr) })
 	var cursor int64
 	for _, o := range live {
 		o.Addr = cursor
 		cursor += o.Size
 	}
 	hp.cursor = cursor
-}
-
-func sortByAddr(objs []*Object) {
-	// Insertion-friendly ordering: live objects are nearly sorted by
-	// address already (allocation order), so a simple binary-insertion
-	// pass would do, but clarity wins: use sort via slices-free stdlib.
-	quicksortByAddr(objs)
-}
-
-func quicksortByAddr(objs []*Object) {
-	if len(objs) < 2 {
-		return
-	}
-	pivot := objs[len(objs)/2].Addr
-	left, right := 0, len(objs)-1
-	for left <= right {
-		for objs[left].Addr < pivot {
-			left++
-		}
-		for objs[right].Addr > pivot {
-			right--
-		}
-		if left <= right {
-			objs[left], objs[right] = objs[right], objs[left]
-			left++
-			right--
-		}
-	}
-	quicksortByAddr(objs[:right+1])
-	quicksortByAddr(objs[left:])
 }

@@ -7,6 +7,8 @@
 package profile
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 
 	"dragprof/internal/bytecode"
@@ -103,7 +105,11 @@ func (r *Record) LifeTime() int64 {
 }
 
 // Recorder implements vm.Listener and observes heap reclamation; it is the
-// instrumented JVM's trailer machinery.
+// instrumented JVM's trailer machinery. It holds the allocation half of
+// each live trailer; the use half lives in the object itself (heap.Object's
+// LastUse, Uses, LastUseChain and LastUseKind), where the VM updates it in
+// place, and is copied into the Record when the object is reclaimed or the
+// program ends.
 type Recorder struct {
 	// live holds the trailer of each recorded object still in the heap,
 	// indexed by its handle. Handles are dense and recycled, so live is
@@ -149,18 +155,18 @@ func (r *Recorder) Alloc(h heap.Handle, o *heap.Object, site int32, chain int32,
 	r.live[h] = rec
 }
 
-// Use implements vm.Listener.
-func (r *Recorder) Use(h heap.Handle, o *heap.Object, chain int32, clock int64, kind vm.UseKind) {
-	rec := r.lookup(h, o)
-	if rec == nil {
-		return
-	}
+// settle copies the use half of o's trailer into its record. A record
+// whose object was never used keeps LastUse 0 and LastUseChain -1.
+func settle(rec *Record, o *heap.Object) {
 	// Interning may be flagged after allocation (string literals).
 	rec.Interned = rec.Interned || o.Interned
-	rec.LastUse = clock
-	rec.LastUseChain = chain
-	rec.LastUseKind = kind
-	rec.Uses++
+	if o.Uses == 0 {
+		return
+	}
+	rec.LastUse = o.LastUse
+	rec.LastUseChain = o.LastUseChain
+	rec.LastUseKind = vm.UseKind(o.LastUseKind)
+	rec.Uses = o.Uses
 }
 
 // freeListener binds the heap clock so reclamation records carry the
@@ -172,18 +178,22 @@ func (r *Recorder) freeListener(clock func() int64) heap.FreeListener {
 			return
 		}
 		r.live[h] = nil
-		rec.Interned = rec.Interned || o.Interned
+		settle(rec, o)
 		rec.Collect = clock()
 		r.done = append(r.done, rec)
 	}
 }
 
-// Finish logs every object still live at termination (the paper performs a
-// final deep GC first, then logs survivors with the final clock).
-func (r *Recorder) Finish(clock int64) {
-	for _, rec := range r.live {
+// Finish logs every object still live in hp at termination with hp's final
+// clock (the paper performs a final deep GC first, then logs survivors).
+func (r *Recorder) Finish(hp *heap.Heap) {
+	clock := hp.Clock()
+	for h, rec := range r.live {
 		if rec == nil {
 			continue
+		}
+		if o := hp.Lookup(heap.Handle(h)); o != nil && o.AllocID == rec.AllocID {
+			settle(rec, o)
 		}
 		rec.Collect = clock
 		rec.AtExit = true
@@ -196,33 +206,9 @@ func (r *Recorder) Finish(clock int64) {
 func (r *Recorder) Records() []*Record {
 	out := make([]*Record, len(r.done))
 	copy(out, r.done)
-	sortRecords(out)
+	// Allocation ids are unique, so the order is total.
+	slices.SortFunc(out, func(a, b *Record) int { return cmp.Compare(a.AllocID, b.AllocID) })
 	return out
-}
-
-func sortRecords(recs []*Record) {
-	// Allocation ids are unique; simple quicksort keeps the package
-	// dependency-free and deterministic.
-	if len(recs) < 2 {
-		return
-	}
-	pivot := recs[len(recs)/2].AllocID
-	l, rr := 0, len(recs)-1
-	for l <= rr {
-		for recs[l].AllocID < pivot {
-			l++
-		}
-		for recs[rr].AllocID > pivot {
-			rr--
-		}
-		if l <= rr {
-			recs[l], recs[rr] = recs[rr], recs[l]
-			l++
-			rr--
-		}
-	}
-	sortRecords(recs[:rr+1])
-	sortRecords(recs[l:])
 }
 
 // Profile is the self-contained phase-1 output: the trailer log plus the

@@ -26,10 +26,16 @@ func allocRecorded(t *testing.T, hp *heap.Heap, rec *Recorder, site int32) (heap
 	return h, o
 }
 
+// use writes a use into o's trailer, as the VM does.
+func use(o *heap.Object, chain int32, clock int64, kind vm.UseKind) {
+	o.LastUse, o.LastUseChain, o.LastUseKind = clock, chain, uint8(kind)
+	o.Uses++
+}
+
 func TestRecorderRecycledHandle(t *testing.T) {
 	hp, rec := recorderHeap()
 	h1, o1 := allocRecorded(t, hp, rec, 1)
-	rec.Use(h1, o1, 7, hp.Clock(), vm.UseGetField)
+	use(o1, 7, hp.Clock(), vm.UseGetField)
 	hp.Free(h1)
 
 	h2, o2 := allocRecorded(t, hp, rec, 2)
@@ -40,9 +46,11 @@ func TestRecorderRecycledHandle(t *testing.T) {
 		t.Fatal("recycled handle kept its AllocID")
 	}
 
-	// A use and a free carrying the first object's AllocID reach the
-	// recycled handle; neither may touch the second object's trailer.
-	rec.Use(h2, o1, 9, hp.Clock()+100, vm.UsePutField)
+	// A free carrying the first object's AllocID reaches the recycled
+	// handle; it may not touch the second object's trailer. A stale use
+	// writes only the first object, whose record was settled when it
+	// was freed, so it cannot reach the second trailer at all.
+	use(o1, 9, hp.Clock()+100, vm.UsePutField)
 	rec.freeListener(hp.Clock)(h2, o1)
 	live := rec.lookup(h2, o2)
 	if live == nil {
@@ -52,16 +60,16 @@ func TestRecorderRecycledHandle(t *testing.T) {
 		t.Errorf("stale use reached the second trailer: %+v", live)
 	}
 
-	// A use of a handle the recorder never saw (an unsampled object past
-	// the end of the trailer table) is ignored.
+	// A used object the recorder never saw (an unsampled object past the
+	// end of the trailer table) is not logged.
 	far, err := hp.AllocObject(0, 1, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.Use(far, hp.Get(far), 3, hp.Clock(), vm.UseGetField)
+	use(hp.Get(far), 3, hp.Clock(), vm.UseGetField)
 
-	rec.Use(h2, o2, 11, hp.Clock(), vm.UseInvoke)
-	rec.Finish(hp.Clock())
+	use(o2, 11, hp.Clock(), vm.UseInvoke)
+	rec.Finish(hp)
 	recs := rec.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
@@ -94,8 +102,11 @@ func TestRecorderFinishLogsSurvivorsOnce(t *testing.T) {
 		allocRecorded(t, hp, rec, 1000+int32(i))
 	}
 	final := hp.Clock()
-	rec.Finish(final)
-	rec.Finish(final + 1) // nothing is left to log
+	rec.Finish(hp)
+	if _, err := hp.AllocObject(0, 1, nil, false); err != nil { // moves the clock
+		t.Fatal(err)
+	}
+	rec.Finish(hp) // nothing is left to log
 
 	recs := rec.Records()
 	if len(recs) != 230 {

@@ -25,7 +25,7 @@ func Run(prog *bytecode.Program, name string, cfg vm.Config) (*Profile, *vm.VM, 
 	hp := m.Heap()
 	hp.SetFreeListener(rec.freeListener(hp.Clock))
 	runErr := m.Run()
-	rec.Finish(hp.Clock())
+	rec.Finish(hp)
 	p := Snapshot(name, prog, m, rec, cfg.GCInterval)
 	if cfg.SampleRate > 0 && cfg.SampleRate < 1 {
 		p.SampleRate = cfg.SampleRate

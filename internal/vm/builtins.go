@@ -10,11 +10,11 @@ import (
 // callBuiltin dispatches a native function. Builtins that receive object
 // arguments dereference their handles, which counts as a native use — the
 // paper's fifth use category.
-func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin, line int32) {
+func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin) {
 	vm.cost.Builtins++
 	switch b {
 	case bytecode.BuiltinPrint, bytecode.BuiltinPrintln:
-		s, ok := vm.useString(f.pop(), line)
+		s, ok := vm.useString(f.pop())
 		if !ok {
 			return
 		}
@@ -53,8 +53,8 @@ func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin, line int32) {
 		if do == nil {
 			return
 		}
-		vm.emitUse(src.H, so, UseNative, line)
-		vm.emitUse(dst.H, do, UseNative, line)
+		vm.emitUse(src.H, so, UseNative)
+		vm.emitUse(dst.H, do, UseNative)
 		if n < 0 || srcPos < 0 || dstPos < 0 ||
 			srcPos+n > int64(so.Len()) || dstPos+n > int64(do.Len()) {
 			vm.throwByName("IndexOutOfBoundsException",
@@ -80,18 +80,18 @@ func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin, line int32) {
 	case bytecode.BuiltinStringEquals:
 		sb := f.pop()
 		sa := f.pop()
-		a, ok := vm.useString(sa, line)
+		a, ok := vm.useString(sa)
 		if !ok {
 			return
 		}
-		bs, ok := vm.useString(sb, line)
+		bs, ok := vm.useString(sb)
 		if !ok {
 			return
 		}
 		f.push(heap.BoolValue(a == bs))
 
 	case bytecode.BuiltinHash:
-		s, ok := vm.useString(f.pop(), line)
+		s, ok := vm.useString(f.pop())
 		if !ok {
 			return
 		}
@@ -109,7 +109,7 @@ func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin, line int32) {
 		vm.collectForSpace()
 
 	case bytecode.BuiltinAbort:
-		s, _ := vm.stringArg(f.pop(), line)
+		s, _ := vm.stringArg(f.pop())
 		vm.fatal("abort: %s", s)
 
 	default:
@@ -120,17 +120,17 @@ func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin, line int32) {
 // useString reads a String argument, emitting native uses of the String and
 // its char array, raising NullPointerException for null. ok is false after
 // an exception was raised.
-func (vm *VM) useString(v heap.Value, line int32) (string, bool) {
+func (vm *VM) useString(v heap.Value) (string, bool) {
 	o := vm.deref(v, "native string access")
 	if o == nil {
 		return "", false
 	}
-	vm.emitUse(v.H, o, UseNative, line)
+	vm.emitUse(v.H, o, UseNative)
 	if vm.prog.StringChars >= 0 && int(vm.prog.StringChars) < o.Len() {
 		cv := o.Get(int(vm.prog.StringChars))
 		if cv.IsRef && !cv.H.IsNull() {
 			if arr := vm.hp.Lookup(cv.H); arr != nil {
-				vm.emitUse(cv.H, arr, UseNative, line)
+				vm.emitUse(cv.H, arr, UseNative)
 			}
 		}
 	}
@@ -138,7 +138,7 @@ func (vm *VM) useString(v heap.Value, line int32) (string, bool) {
 }
 
 // stringArg is useString without the null exception (for abort paths).
-func (vm *VM) stringArg(v heap.Value, line int32) (string, bool) {
+func (vm *VM) stringArg(v heap.Value) (string, bool) {
 	if v.H.IsNull() {
 		return "<null>", false
 	}
@@ -146,6 +146,6 @@ func (vm *VM) stringArg(v heap.Value, line int32) (string, bool) {
 	if o == nil {
 		return "<freed>", false
 	}
-	vm.emitUse(v.H, o, UseNative, line)
+	vm.emitUse(v.H, o, UseNative)
 	return vm.StringValue(v.H), true
 }

@@ -51,15 +51,16 @@ func (k UseKind) String() string {
 	return "use?"
 }
 
-// Listener observes allocation and use events. The profiler implements it;
-// a nil listener disables event dispatch entirely.
+// Listener observes allocation events. The profiler implements it; a nil
+// listener disables profiling entirely. Uses raise no event: the VM writes
+// each use of an observed object into the object's own trailer fields
+// (heap.Object's LastUse, Uses, LastUseChain and LastUseKind), which the
+// listener reads when the object is reclaimed.
 type Listener interface {
 	// Alloc reports a new object. site is the static allocation site,
 	// chain the interned nested allocation site (call chain), clock the
 	// allocation clock in bytes after this allocation.
 	Alloc(h heap.Handle, o *heap.Object, site int32, chain int32, clock int64)
-	// Use reports a use of object h at the given nested site.
-	Use(h heap.Handle, o *heap.Object, chain int32, clock int64, kind UseKind)
 }
 
 // ChainNode is one element of an interned call-site chain: the parent chain

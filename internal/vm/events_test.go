@@ -9,6 +9,7 @@ import (
 
 	"dragprof/internal/heap"
 	"dragprof/internal/mj"
+	"dragprof/internal/profile"
 	"dragprof/internal/vm"
 )
 
@@ -91,70 +92,82 @@ func TestChainTableInternProperty(t *testing.T) {
 	}
 }
 
-// eventCollector records every event for assertion.
-type eventCollector struct {
-	allocs []string
-	uses   []vm.UseKind
-}
-
-func (c *eventCollector) Alloc(h heap.Handle, o *heap.Object, site int32, chain int32, clock int64) {
-	c.allocs = append(c.allocs, "alloc")
-}
-
-func (c *eventCollector) Use(h heap.Handle, o *heap.Object, chain int32, clock int64, kind vm.UseKind) {
-	c.uses = append(c.uses, kind)
-}
-
 func TestUseEventKinds(t *testing.T) {
+	// Each object below is used by one kind of use event only, or has it
+	// as its last use, so its record pins that kind's trailer update: the
+	// kind, the count and the line of the last use. A constructor call is
+	// an invoke use, so every Cell starts with one.
 	prog, _, err := mj.CompileWithStdlib([]string{"t.mj"}, map[string]string{"t.mj": `
 class Cell {
     int v;
-    int get() { return v; }
+    Cell() { }
+    void nop() { }
 }
 class Main {
+    static int sink;
     static void main() {
-        Cell c = new Cell();
-        c.v = 1;           // putfield
-        int x = c.v;       // getfield
-        int y = c.get();   // invoke (+ getfield inside)
-        int[] a = new int[3];
-        a[0] = x + y;      // array store
-        int z = a[0];      // array load
-        int n = a.length;  // array length
-        synchronized (c) { // monitor enter/exit
-            z = z + n;
-        }
-        printInt(z);
-        println("done");   // native handle dereference
+        Cell put = new Cell();
+        put.v = 1;
+        Cell get = new Cell();
+        sink = get.v;
+        Cell call = new Cell();
+        call.nop();
+        int[] lock = new int[1];
+        synchronized (lock) { sink = sink + 1; }
+        int[] store = new int[1];
+        store[0] = 2;
+        int[] load = new int[1];
+        sink = load[0];
+        int[] size = new int[1];
+        sink = size.length;
+        int[] src = new int[1];
+        int[] dst = new int[1];
+        arraycopy(src, 0, dst, 0, 1);
+        int[] unused = new int[1];
     }
 }`})
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := &eventCollector{}
-	m, err := vm.New(prog, vm.Config{Listener: col})
+	p, _, err := profile.Run(prog, "kinds", vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	counts := map[vm.UseKind]int{}
-	for _, k := range col.uses {
-		counts[k]++
-	}
-	// Every use category of Section 2.1.1 must appear.
-	for _, k := range []vm.UseKind{vm.UseGetField, vm.UsePutField, vm.UseInvoke,
-		vm.UseMonitor, vm.UseArray, vm.UseNative} {
-		if counts[k] == 0 {
-			t.Errorf("no %v events recorded (counts: %v)", k, counts)
+	byLine := map[int32]*profile.Record{}
+	for _, r := range p.Records {
+		if site := p.Sites[r.Site]; site.Method == prog.Main {
+			byLine[site.Line] = r
 		}
 	}
-	if counts[vm.UseMonitor] != 2 {
-		t.Errorf("monitor events = %d, want 2 (enter+exit)", counts[vm.UseMonitor])
+	for _, c := range []struct {
+		name       string
+		alloc, use int32
+		kind       vm.UseKind
+		uses       int64
+	}{
+		{"putfield", 10, 11, vm.UsePutField, 2},
+		{"getfield", 12, 13, vm.UseGetField, 2},
+		{"invoke", 14, 15, vm.UseInvoke, 2},
+		{"monitor", 16, 17, vm.UseMonitor, 2}, // enter and exit
+		{"array store", 18, 19, vm.UseArray, 1},
+		{"array load", 20, 21, vm.UseArray, 1},
+		{"array length", 22, 23, vm.UseArray, 1},
+		{"native source", 24, 26, vm.UseNative, 1},
+		{"native destination", 25, 26, vm.UseNative, 1},
+	} {
+		r := byLine[c.alloc]
+		if r == nil {
+			t.Errorf("%s: no record allocated at line %d", c.name, c.alloc)
+			continue
+		}
+		last := p.ChainNodes[r.LastUseChain]
+		if r.LastUseKind != c.kind || r.Uses != c.uses || last.Method != prog.Main || last.Line != c.use {
+			t.Errorf("%s: last use %v at %s, %d uses; want %v at Main.main:%d, %d uses",
+				c.name, r.LastUseKind, p.ChainDesc(r.LastUseChain, 0), r.Uses, c.kind, c.use, c.uses)
+		}
 	}
-	if len(col.allocs) == 0 {
-		t.Error("no allocation events")
+	if r := byLine[27]; r == nil || r.Used() || r.Uses != 0 || r.LastUseChain != -1 {
+		t.Errorf("never-used array: record %+v, want no use", r)
 	}
 }
 
@@ -209,8 +222,6 @@ func (g *chainGrabber) Alloc(h heap.Handle, o *heap.Object, site int32, chain in
 		g.lastChain = chain
 	}
 }
-
-func (g *chainGrabber) Use(heap.Handle, *heap.Object, int32, int64, vm.UseKind) {}
 
 func TestChainTableInternMatchesMap(t *testing.T) {
 	// Differential check of the open-addressed index against the map it

@@ -98,9 +98,7 @@ loop:
 				o := vm.hp.Get(recv)
 				st[sp-1] = o.Slots[in.A]
 				if vm.observes(o) {
-					vm.park(f, at, pc, st[:sp], steps)
-					vm.emitUse(recv, o, UseGetField, in.Line)
-					break fast
+					vm.touch(o, vm.chainAt(f, at), UseGetField)
 				}
 			case bytecode.PutField:
 				sp -= 2
@@ -116,9 +114,7 @@ loop:
 					vm.bar.WriteBarrier(recv, val.H)
 				}
 				if vm.observes(o) {
-					vm.park(f, at, pc, st[:sp], steps)
-					vm.emitUse(recv, o, UsePutField, in.Line)
-					break fast
+					vm.touch(o, vm.chainAt(f, at), UsePutField)
 				}
 
 			case bytecode.ArrayLoad:
@@ -137,9 +133,7 @@ loop:
 				}
 				st[sp-1] = o.Get(int(idx))
 				if vm.observes(o) {
-					vm.park(f, at, pc, st[:sp], steps)
-					vm.emitUse(arr, o, UseArray, in.Line)
-					break fast
+					vm.touch(o, vm.chainAt(f, at), UseArray)
 				}
 			case bytecode.ArrayStore:
 				sp -= 3
@@ -160,9 +154,7 @@ loop:
 					vm.bar.WriteBarrier(arr, val.H)
 				}
 				if vm.observes(o) {
-					vm.park(f, at, pc, st[:sp], steps)
-					vm.emitUse(arr, o, UseArray, in.Line)
-					break fast
+					vm.touch(o, vm.chainAt(f, at), UseArray)
 				}
 			case bytecode.ArrayLen:
 				arr := st[sp-1].H
@@ -174,9 +166,7 @@ loop:
 				o := vm.hp.Get(arr)
 				st[sp-1] = heap.IntValue(int64(o.Len()))
 				if vm.observes(o) {
-					vm.park(f, at, pc, st[:sp], steps)
-					vm.emitUse(arr, o, UseArray, in.Line)
-					break fast
+					vm.touch(o, vm.chainAt(f, at), UseArray)
 				}
 
 			default:
@@ -286,7 +276,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 	case bytecode.InvokeStatic:
 		m := vm.prog.Methods[in.A]
 		args := vm.popArgs(f, m.NumParams)
-		chain := vm.chainAt(f, in.Line)
+		chain := vm.chainAt(f, f.lastpc)
 		vm.pushFrame(m, args, chain)
 	case bytecode.InvokeSpecial:
 		m := vm.prog.Methods[in.A]
@@ -296,11 +286,11 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseInvoke, in.Line)
-		chain := vm.chainAt(f, in.Line)
+		vm.emitUse(recv.H, o, UseInvoke)
+		chain := vm.chainAt(f, f.lastpc)
 		vm.pushFrame(m, args, chain)
 	case bytecode.CallBuiltin:
-		vm.callBuiltin(f, bytecode.Builtin(in.A), in.Line)
+		vm.callBuiltin(f, bytecode.Builtin(in.A))
 
 	case bytecode.Return:
 		vm.popReturn(heap.Value{}, false)
@@ -399,7 +389,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseMonitor, in.Line)
+		vm.emitUse(recv.H, o, UseMonitor)
 		o.MonitorCount++
 	case bytecode.MonitorExit:
 		recv := f.pop()
@@ -407,7 +397,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseMonitor, in.Line)
+		vm.emitUse(recv.H, o, UseMonitor)
 		if o.MonitorCount <= 0 {
 			vm.fatal("monitorexit without matching monitorenter")
 			return
@@ -448,7 +438,7 @@ func (vm *VM) invokeVirtual(f *frame, in bytecode.Instr) {
 	if o == nil {
 		return
 	}
-	vm.emitUse(recv.H, o, UseInvoke, in.Line)
+	vm.emitUse(recv.H, o, UseInvoke)
 	// Dynamic dispatch through the receiver's actual class.
 	m := declared
 	if o.Class >= 0 && o.Class != in.B {
@@ -457,7 +447,7 @@ func (vm *VM) invokeVirtual(f *frame, in bytecode.Instr) {
 			m = vm.prog.Methods[dyn.VTable[in.A]]
 		}
 	}
-	chain := vm.chainAt(f, in.Line)
+	chain := vm.chainAt(f, f.lastpc)
 	vm.pushFrame(m, args, chain)
 }
 

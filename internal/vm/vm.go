@@ -114,11 +114,8 @@ type frame struct {
 	locals []heap.Value
 	stack  []heap.Value
 	chain  int32
-	// memoLine and memoChain cache the last chain this frame interned:
-	// chain extended by (m.ID, memoLine). The frame's chain and method
-	// never change, so the memo is exact; memoChain < 0 means empty.
-	memoLine  int32
-	memoChain int32
+	// memo is the VM's chain memo for m (see chainAt).
+	memo []chainMemo
 	// region lists this frame's escape-proved allocations
 	// (RegionNewObject/RegionNewArray); they are freed wholesale when the
 	// frame exits. The list is deliberately NOT a GC root: if the
@@ -126,15 +123,48 @@ type frame struct {
 	region []regionEntry
 }
 
-// chainAt returns the id of f's chain extended by (f.m.ID, line), the
-// nested site of a call, allocation or use at that line.
-func (vm *VM) chainAt(f *frame, line int32) int32 {
-	if f.memoChain >= 0 && f.memoLine == line {
-		return f.memoChain
+// chainMemo remembers, for one instruction of one method, the chain last
+// interned there: parent extended by the instruction's (method, line) is
+// chain. An empty entry has parent noChain, which no frame's chain equals.
+type chainMemo struct {
+	parent, chain int32
+}
+
+// noChain marks an empty chainMemo; chain ids are -1 (the empty chain) or
+// more.
+const noChain = -2
+
+// chainAt returns the id of f's chain extended by (f.m.ID, line of the
+// instruction at pc), the nested site of a call, allocation or use there.
+// A memo hit costs a compare; a miss interns exactly as without the memo,
+// so chain ids keep their first-seen order.
+func (vm *VM) chainAt(f *frame, pc int) int32 {
+	if e := f.memo[pc]; e.parent == f.chain {
+		return e.chain
 	}
-	c := vm.chains.Intern(f.chain, f.m.ID, line)
-	f.memoLine, f.memoChain = line, c
+	return vm.internAt(f, pc)
+}
+
+// internAt is chainAt's miss path: it interns the chain and memoizes it.
+func (vm *VM) internAt(f *frame, pc int) int32 {
+	c := vm.chains.Intern(f.chain, f.m.ID, f.m.Code[pc].Line)
+	f.memo[pc] = chainMemo{parent: f.chain, chain: c}
 	return c
+}
+
+// memoOf returns m's chain memo, one entry per instruction, allocating it
+// on m's first call. The memo belongs to the VM rather than to the
+// program, which several VMs may run at once.
+func (vm *VM) memoOf(m *bytecode.Method) []chainMemo {
+	t := vm.memos[m.ID]
+	if t == nil {
+		t = make([]chainMemo, len(m.Code))
+		for i := range t {
+			t[i].parent = noChain
+		}
+		vm.memos[m.ID] = t
+	}
+	return t
 }
 
 func (f *frame) push(v heap.Value) { f.stack = append(f.stack, v) }
@@ -158,7 +188,10 @@ type VM struct {
 	frames  []*frame
 	statics [][]heap.Value
 
-	chains   *ChainTable
+	chains *ChainTable
+	// memos holds each method's chain memo, indexed by method id; nil
+	// until the method's first call.
+	memos    [][]chainMemo
 	listener Listener
 	// sampler is non-nil only when cfg.SampleRate is in (0, 1); its byte
 	// countdown gates every listener event.
@@ -220,6 +253,7 @@ func New(prog *bytecode.Program, cfg Config) (*VM, error) {
 		prog:       prog,
 		hp:         heap.New(cfg.HeapCapacity),
 		chains:     NewChainTable(),
+		memos:      make([][]chainMemo, len(prog.Methods)),
 		listener:   cfg.Listener,
 		interned:   make(map[int32]heap.Handle),
 		rng:        cfg.Seed,
@@ -406,7 +440,7 @@ func (vm *VM) pushFrame(m *bytecode.Method, args []heap.Value, chain int32) {
 	copy(f.locals, args)
 	f.stack = f.stack[:0]
 	f.m, f.pc, f.lastpc = m, 0, 0
-	f.chain, f.memoChain = chain, -1
+	f.chain, f.memo = chain, vm.memoOf(m)
 }
 
 func (vm *VM) top() *frame { return vm.frames[len(vm.frames)-1] }
@@ -498,7 +532,7 @@ func (vm *VM) safepoint() {
 		vm.pendingMinor = false
 		vm.inGC = true
 		vm.col.Collect(false)
-		vm.runPendingFinalizers()
+		vm.runFinalizers(vm.col.DrainFinalizers())
 		vm.inGC = false
 	}
 	if vm.gcInterval > 0 && vm.hp.Clock()-vm.lastDeep >= vm.gcInterval {
@@ -540,24 +574,20 @@ func (vm *VM) rearm() {
 	vm.pollAt = at
 }
 
-// DeepGC performs the paper's deep collection: collect, run finalizers,
-// collect again.
+// DeepGC performs the paper's deep collection (gc.DeepGC): collect, run
+// finalizers, collect again.
 func (vm *VM) DeepGC() {
 	if vm.inGC {
 		return
 	}
 	vm.inGC = true
-	vm.col.Collect(true)
-	vm.runPendingFinalizers()
-	vm.col.Collect(true)
+	gc.DeepGC(vm.col, vm.runFinalizers)
 	vm.inGC = false
 }
 
-// runPendingFinalizers drains the collector's finalization queue and runs
-// finalize() on each object; exceptions escaping a finalizer are discarded,
-// as in Java.
-func (vm *VM) runPendingFinalizers() {
-	q := vm.col.DrainFinalizers()
+// runFinalizers runs finalize() on each object of a drained finalization
+// queue; exceptions escaping a finalizer are discarded, as in Java.
+func (vm *VM) runFinalizers(q []heap.Handle) {
 	if len(q) == 0 {
 		return
 	}
@@ -572,7 +602,7 @@ func (vm *VM) runPendingFinalizers() {
 			continue
 		}
 		m := vm.prog.Methods[vm.prog.Classes[o.Class].VTable[vi]]
-		vm.emitUse(h, o, UseInvoke, 0)
+		vm.emitUse(h, o, UseInvoke)
 		saveHalt, saveErr := vm.halted, vm.haltErr
 		_, err := vm.callSync(m, []heap.Value{heap.RefValue(h)}, -1)
 		if err != nil && !vm.halted {
@@ -620,12 +650,12 @@ func (vm *VM) allocArray(elem bytecode.ElemKind, length int, site int32, interne
 	return h, nil
 }
 
+// collectForSpace runs a deep GC for an allocation that does not fit, or
+// for the gc() builtin, even while another collection's finalizers run.
 func (vm *VM) collectForSpace() {
 	wasInGC := vm.inGC
 	vm.inGC = true
-	vm.col.Collect(true)
-	vm.runPendingFinalizers()
-	vm.col.Collect(true)
+	gc.DeepGC(vm.col, vm.runFinalizers)
 	vm.inGC = wasInGC
 }
 
@@ -655,13 +685,25 @@ func (vm *VM) noteAlloc(h heap.Handle, site int32, interned bool) {
 	}
 }
 
-// observes reports whether a use of o raises a use event: a listener is
-// set, and either every object is profiled or the sampler selected o.
+// observes reports whether a use of o is recorded in its trailer: a
+// listener is set, and either every object is profiled or the sampler
+// selected o.
 func (vm *VM) observes(o *heap.Object) bool {
 	return vm.listener != nil && (vm.sampler == nil || o.Sampled)
 }
 
-func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
+// touch records a use of o at the nested site chain in o's trailer.
+func (vm *VM) touch(o *heap.Object, chain int32, kind UseKind) {
+	o.LastUse = vm.hp.Clock()
+	o.LastUseChain = chain
+	o.LastUseKind = uint8(kind)
+	o.Uses++
+}
+
+// emitUse records a use of the object behind h (o, when the caller has
+// it) by the instruction the top frame is executing. The interpreter loop
+// records its own uses inline; exec, builtins and finalizers call this.
+func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind) {
 	if vm.listener == nil || h.IsNull() {
 		return
 	}
@@ -674,7 +716,7 @@ func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind, _ int32) {
 	if !vm.observes(o) {
 		return
 	}
-	vm.listener.Use(h, o, vm.curChain(), vm.hp.Clock(), kind)
+	vm.touch(o, vm.curChain(), kind)
 }
 
 // curChain is the nested site of the instruction the top frame is
@@ -684,7 +726,7 @@ func (vm *VM) curChain() int32 {
 		return -1
 	}
 	f := vm.top()
-	return vm.chainAt(f, f.m.Code[f.lastpc].Line)
+	return vm.chainAt(f, f.lastpc)
 }
 
 // Exceptions.
