@@ -269,13 +269,13 @@ func TestDeepGC(t *testing.T) {
 
 // idleTwin builds one of several identical heaps for
 // TestDeepGCChargesIdleCycle: a random object graph, rooted primitive
-// arrays (one materialized), a rooted finalizable object and, for the
+// arrays (one materialized), a rooted finalizable object, a rooted
+// reference array holding the only reference to held and, for the
 // generational collector, an old generation under a fresh nursery. No
 // unreachable object is finalizable, so a full cycle enqueues nothing.
-func idleTwin(kind string, seed int64) (*heap.Heap, *rootSet, gc.Collector) {
-	hp := heap.New(1 << 22)
-	roots := &rootSet{}
-	var col gc.Collector
+func idleTwin(kind string, seed int64) (hp *heap.Heap, roots *rootSet, col gc.Collector, held heap.Handle) {
+	hp = heap.New(1 << 22)
+	roots = &rootSet{}
 	switch kind {
 	case "generational":
 		col = gc.NewGenerational(hp, roots, 1<<12)
@@ -303,10 +303,13 @@ func idleTwin(kind string, seed int64) (*heap.Heap, *rootSet, gc.Collector) {
 	chars := alloc(hp.AllocArray(bytecode.ElemChar, 16))
 	fin := alloc(hp.AllocObject(0, 1, []bool{true}, true))
 	hp.Get(fin).Slots[0] = heap.RefValue(chars)
-	roots.roots = append(roots.roots, ints, fin)
+	held = alloc(hp.AllocObject(0, 0, nil, false))
+	refs := alloc(hp.AllocArray(bytecode.ElemRef, 4))
+	hp.Get(refs).Slots[2] = heap.RefValue(held)
+	roots.roots = append(roots.roots, ints, fin, refs)
 	alloc(hp.AllocArray(bytecode.ElemInt, 8)) // garbage
 	roots.visits = 0
-	return hp, roots, col
+	return hp, roots, col, held
 }
 
 // heapState renders every live object's handle, address and collector
@@ -326,15 +329,18 @@ func TestDeepGCChargesIdleCycle(t *testing.T) {
 	// the heap as it found it; gc.DeepGC must then charge, not run, it.
 	for _, kind := range []string{"mark-sweep", "mark-compact", "generational"} {
 		for seed := int64(1); seed <= 5; seed++ {
-			hpRun, _, run := idleTwin(kind, seed)
-			hpIdle, _, idle := idleTwin(kind, seed)
-			hpDeep, rootsDeep, deep := idleTwin(kind, seed)
+			hpRun, _, run, held := idleTwin(kind, seed)
+			hpIdle, _, idle, _ := idleTwin(kind, seed)
+			hpDeep, rootsDeep, deep, _ := idleTwin(kind, seed)
 
 			first := run.Collect(true)
 			if q := run.DrainFinalizers(); len(q) != 0 || first.Freed == 0 {
 				t.Fatalf("%s seed %d: first cycle enqueued %d and freed %d; the test needs 0 and some", kind, seed, len(q), first.Freed)
 			}
 			second := run.Collect(true)
+			if hpRun.Lookup(held) == nil {
+				t.Fatalf("%s seed %d: an object held only by a reference array was freed", kind, seed)
+			}
 
 			if got := idle.Collect(true); got != first {
 				t.Fatalf("%s seed %d: twin heaps differ: first cycles %+v and %+v", kind, seed, first, got)

@@ -108,15 +108,14 @@ type Object struct {
 	LastUse      int64
 	Uses         int64
 	LastUseChain int32
-
-	// MonitorCount is the monitor entry count (monitorenter/monitorexit).
-	MonitorCount int32
+	LastUseKind  uint8
 
 	// Kind distinguishes instances from arrays.
 	Kind Kind
 	// Elem is the element kind for arrays.
-	Elem        bytecode.ElemKind
-	LastUseKind uint8
+	Elem bytecode.ElemKind
+	// MonitorCount is the monitor entry count (monitorenter/monitorexit).
+	MonitorCount int32
 
 	// Mark is the tracing mark bit.
 	Mark bool

@@ -3,9 +3,21 @@ package heap
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dragprof/internal/bytecode"
 )
+
+func TestObjectStructSize(t *testing.T) {
+	// Every allocation in the VM is one Object; the trailer fields fit
+	// the 96-byte allocation class only in the declared field order.
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Object{}); got != 96 {
+		t.Errorf("heap.Object is %d bytes, want 96", got)
+	}
+}
 
 func TestSizes(t *testing.T) {
 	cases := []struct {

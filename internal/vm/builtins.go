@@ -53,8 +53,8 @@ func (vm *VM) callBuiltin(f *frame, b bytecode.Builtin) {
 		if do == nil {
 			return
 		}
-		vm.emitUse(src.H, so, UseNative)
-		vm.emitUse(dst.H, do, UseNative)
+		vm.emitUse(so, UseNative)
+		vm.emitUse(do, UseNative)
 		if n < 0 || srcPos < 0 || dstPos < 0 ||
 			srcPos+n > int64(so.Len()) || dstPos+n > int64(do.Len()) {
 			vm.throwByName("IndexOutOfBoundsException",
@@ -125,12 +125,12 @@ func (vm *VM) useString(v heap.Value) (string, bool) {
 	if o == nil {
 		return "", false
 	}
-	vm.emitUse(v.H, o, UseNative)
+	vm.emitUse(o, UseNative)
 	if vm.prog.StringChars >= 0 && int(vm.prog.StringChars) < o.Len() {
 		cv := o.Get(int(vm.prog.StringChars))
 		if cv.IsRef && !cv.H.IsNull() {
 			if arr := vm.hp.Lookup(cv.H); arr != nil {
-				vm.emitUse(cv.H, arr, UseNative)
+				vm.emitUse(arr, UseNative)
 			}
 		}
 	}
@@ -146,6 +146,6 @@ func (vm *VM) stringArg(v heap.Value) (string, bool) {
 	if o == nil {
 		return "<freed>", false
 	}
-	vm.emitUse(v.H, o, UseNative)
+	vm.emitUse(o, UseNative)
 	return vm.StringValue(v.H), true
 }

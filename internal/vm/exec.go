@@ -286,7 +286,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseInvoke)
+		vm.emitUse(o, UseInvoke)
 		chain := vm.chainAt(f, f.lastpc)
 		vm.pushFrame(m, args, chain)
 	case bytecode.CallBuiltin:
@@ -389,7 +389,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseMonitor)
+		vm.emitUse(o, UseMonitor)
 		o.MonitorCount++
 	case bytecode.MonitorExit:
 		recv := f.pop()
@@ -397,7 +397,7 @@ func (vm *VM) exec(f *frame, in bytecode.Instr) {
 		if o == nil {
 			return
 		}
-		vm.emitUse(recv.H, o, UseMonitor)
+		vm.emitUse(o, UseMonitor)
 		if o.MonitorCount <= 0 {
 			vm.fatal("monitorexit without matching monitorenter")
 			return
@@ -438,7 +438,7 @@ func (vm *VM) invokeVirtual(f *frame, in bytecode.Instr) {
 	if o == nil {
 		return
 	}
-	vm.emitUse(recv.H, o, UseInvoke)
+	vm.emitUse(o, UseInvoke)
 	// Dynamic dispatch through the receiver's actual class.
 	m := declared
 	if o.Class >= 0 && o.Class != in.B {

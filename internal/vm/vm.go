@@ -602,7 +602,7 @@ func (vm *VM) runFinalizers(q []heap.Handle) {
 			continue
 		}
 		m := vm.prog.Methods[vm.prog.Classes[o.Class].VTable[vi]]
-		vm.emitUse(h, o, UseInvoke)
+		vm.emitUse(o, UseInvoke)
 		saveHalt, saveErr := vm.halted, vm.haltErr
 		_, err := vm.callSync(m, []heap.Value{heap.RefValue(h)}, -1)
 		if err != nil && !vm.halted {
@@ -700,23 +700,13 @@ func (vm *VM) touch(o *heap.Object, chain int32, kind UseKind) {
 	o.Uses++
 }
 
-// emitUse records a use of the object behind h (o, when the caller has
-// it) by the instruction the top frame is executing. The interpreter loop
-// records its own uses inline; exec, builtins and finalizers call this.
-func (vm *VM) emitUse(h heap.Handle, o *heap.Object, kind UseKind) {
-	if vm.listener == nil || h.IsNull() {
-		return
+// emitUse records a use of o by the instruction the top frame is
+// executing, if o is observed. The interpreter loop records its own uses
+// inline; exec, builtins and finalizers call this.
+func (vm *VM) emitUse(o *heap.Object, kind UseKind) {
+	if vm.observes(o) {
+		vm.touch(o, vm.curChain(), kind)
 	}
-	if o == nil {
-		o = vm.hp.Lookup(h)
-		if o == nil {
-			return
-		}
-	}
-	if !vm.observes(o) {
-		return
-	}
-	vm.touch(o, vm.curChain(), kind)
 }
 
 // curChain is the nested site of the instruction the top frame is
