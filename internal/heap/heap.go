@@ -76,7 +76,7 @@ const (
 
 // Object is the storage of one heap object. Collector bookkeeping (mark
 // bit, age, generation) and the use half of the profiler's trailer live
-// here, so neither collectors nor the VM's use events need side tables.
+// here, so neither collectors nor the VM's use recording need side tables.
 // Fields are ordered to keep the struct at 96 bytes.
 type Object struct {
 	// Class is the class id for instances; -1 for arrays.
@@ -133,7 +133,7 @@ type Object struct {
 	Interned bool
 	// Sampled marks objects selected by the VM's byte-weighted sampler.
 	// When sampling is off every object is implicitly sampled; when it is
-	// on, use events are emitted only for sampled objects, so unsampled
+	// on, uses are recorded only in sampled objects, so unsampled
 	// ones carry zero profiling overhead past the allocation countdown.
 	Sampled bool
 }

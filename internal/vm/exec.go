@@ -15,9 +15,11 @@ import (
 // The loop keeps the top frame's code, locals, operand stack, pc and the
 // instruction count in local variables, and executes the hottest opcodes
 // inline; every other opcode goes through exec. Before anything outside
-// the loop can observe the VM (exec, a throw, a use event, the slow path)
-// park writes that state back, and after an out-of-line instruction the
-// loop reloads it from whatever frame is then on top.
+// the loop can observe the VM (exec, a throw, the slow path) park writes
+// that state back, and after an out-of-line instruction the loop reloads
+// it from whatever frame is then on top. An inline use of a profiled
+// object stays in the loop: it writes the object's trailer and reads the
+// frame's chain memo, neither of which needs the parked state.
 //
 // Each instruction pays one check of the poll word: when the instruction
 // count reaches vm.pollAt the loop leaves the fast path for poll, the

@@ -40,7 +40,8 @@ type Config struct {
 	GCInterval int64
 	// Out receives program output; nil captures it internally.
 	Out io.Writer
-	// Listener observes allocation and use events; nil disables events.
+	// Listener observes allocations; when it is set, uses are recorded
+	// in the objects' trailers. nil disables profiling.
 	Listener Listener
 	// MaxSteps aborts runaway programs (default 4e9 instructions).
 	MaxSteps int64
