@@ -9,12 +9,12 @@ import (
 	"math"
 )
 
-// Binary drag-log format v3. The text format (log.go) is the paper's
-// human-inspectable interface; v3 is the compact machine interface the
+// Binary drag-log format v4. The text format (log.go) is the paper's
+// human-inspectable interface; v4 is the compact machine interface the
 // parallel analyzer reads. Layout:
 //
 //	magic    "dplg" (4 bytes)
-//	version  1 byte (3)
+//	version  1 byte (4)
 //	flags    1 byte (bit0: the rest of the file is one gzip stream;
 //	         bit1: CRC32C footers and checkpoints are present, set in
 //	         every log and required by the reader;
@@ -55,29 +55,48 @@ import (
 //	uvarint record count, uvarint payload byte length, payload
 //	4-byte CRC32C over the two varints and the payload
 //
-// and the payload is a sequence of delta-encoded trailers whose delta
-// state resets at every block boundary (a block decodes with no context
-// beyond the payload itself). Per trailer:
+// and the payload is
+//
+//	uvarint shape-section byte length, shape section, time section
+//
+// Both sections hold every record of the block, in order. The shape
+// section holds what an allocation site repeats, stored absolute so that
+// a repeated tuple is a repeated byte string gzip matches cheaply. Per
+// trailer:
 //
 //	flags      1 byte (1 array, 2 atexit, 4 interned)
-//	allocid    zigzag delta from previous trailer (allocation order
-//	           makes this a small positive number)
-//	class      zigzag delta
+//	class      zigzag
 //	elem       zigzag
-//	size       zigzag delta
-//	site       zigzag delta
-//	chain      zigzag delta
-//	create     zigzag delta (the allocation clock is monotone)
-//	lastuse    zigzag relative to create
-//	lastchain  zigzag delta
+//	size       zigzag
+//	site       zigzag
+//	chain      zigzag
+//	lastchain  zigzag
 //	lastkind   zigzag
 //	uses       zigzag
-//	collect    zigzag relative to create
+//
+// The time section holds the clocks apart from the shapes. Per trailer:
+//
+//	allocid    zigzag delta from the previous trailer
+//	create     zigzag delta from the previous trailer
+//	lastuse    zigzag relative to create
+//	collect    zigzag delta from the previous trailer
+//
+// Trailers are logged in reclamation order, and one deep GC reclaims many
+// objects at one clock, so most collect deltas are 0.
+//
+// The delta state resets at every block boundary, so a block decodes with
+// no context beyond its payload.
 const (
-	binVersion     = 3
+	binVersion     = 4
 	binFlagGzip    = 1
 	binFlagCRC     = 2
 	binFlagSampled = 4
+	binFlagsKnown  = binFlagGzip | binFlagCRC | binFlagSampled
+
+	// gzipLevel is the compression level of a gzipped log. The shape
+	// section's repeats are found as well at level 4 as at the default
+	// level 6, in about a third of the time.
+	gzipLevel = 4
 
 	// checkpointEveryBlocks is the checkpoint cadence: after every 16th
 	// record block (unless it is the last) the writer emits a cumulative
@@ -87,17 +106,36 @@ const (
 	// maxBlockRecords bounds a block's record count; readers reject
 	// larger claims before allocating.
 	maxBlockRecords = 1 << 20
-	// maxRecordBytes is the largest possible encoded trailer (flags byte
-	// plus twelve 10-byte varints); payload lengths outside
-	// [13, maxRecordBytes] bytes per record are corrupt.
-	maxRecordBytes = 1 + 12*binary.MaxVarintLen64
-	// minRecordBytes is the smallest possible encoded trailer.
-	minRecordBytes = 13
+	// A trailer's shape is its flags byte plus eight varints, its times
+	// four varints; a varint takes 1 to binary.MaxVarintLen64 bytes.
+	minShapeBytes = 1 + 8
+	maxShapeBytes = 1 + 8*binary.MaxVarintLen64
+	minTimeBytes  = 4
+	maxTimeBytes  = 4 * binary.MaxVarintLen64
+	// minRecordBytes and maxRecordBytes bound one encoded trailer. A
+	// payload of n records is one shape-length varint plus n trailers, so
+	// its length lies in [minPayloadBytes(n), maxPayloadBytes(n)].
+	minRecordBytes = minShapeBytes + minTimeBytes
+	maxRecordBytes = maxShapeBytes + maxTimeBytes
 	// maxStringBytes bounds a single table string.
 	maxStringBytes = 1 << 24
 	// maxTableEntries bounds every table's entry count.
 	maxTableEntries = 1 << 28
 )
+
+func minPayloadBytes(n uint64) uint64 { return 1 + n*minRecordBytes }
+
+func maxPayloadBytes(n uint64) uint64 {
+	return uint64(uvarintLen(n*maxShapeBytes)) + n*maxRecordBytes
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
 
 var binMagic = [4]byte{'d', 'p', 'l', 'g'}
 
@@ -119,7 +157,7 @@ type BinaryOptions struct {
 	BlockRecords int
 }
 
-// WriteBinaryLog serializes the profile in the v3 binary format with
+// WriteBinaryLog serializes the profile in the v4 binary format with
 // CRC32C block footers and periodic checkpoints. Every error — including
 // gzip close/flush failures — is propagated; the gzip stream is closed on
 // all paths.
@@ -145,7 +183,7 @@ func WriteBinaryLog(w io.Writer, p *Profile, opts BinaryOptions) error {
 	var body io.Writer = bw
 	var gz *gzip.Writer
 	if opts.Compress {
-		gz = gzip.NewWriter(bw)
+		gz, _ = gzip.NewWriterLevel(bw, gzipLevel) // a valid constant level never fails
 		body = gz
 	}
 	err := writeBinaryBody(body, p, opts)
@@ -192,15 +230,17 @@ func writeBinaryBody(w io.Writer, p *Profile, opts BinaryOptions) error {
 	enc.uvarint(uint64(blocks))
 	tableCRC := enc.crc
 	enc.rawCRC(tableCRC)
-	var scratch []byte
+	var blk blockEncoder
 	written, b := 0, 0
 	for i := 0; i < n; i += opts.BlockRecords {
 		j := min(i+opts.BlockRecords, n)
-		scratch = appendRecordBlock(scratch[:0], p.Records[i:j])
+		blk.encode(p.Records[i:j])
 		enc.crc = 0
 		enc.uvarint(uint64(j - i))
-		enc.uvarint(uint64(len(scratch)))
-		enc.bytes(scratch)
+		enc.uvarint(uint64(uvarintLen(uint64(len(blk.shape))) + len(blk.shape) + len(blk.time)))
+		enc.uvarint(uint64(len(blk.shape)))
+		enc.bytes(blk.shape)
+		enc.bytes(blk.time)
 		enc.rawCRC(enc.crc)
 		written += j - i
 		b++
@@ -267,14 +307,17 @@ func (e *binEncoder) strs(ss []string) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// recDeltas is the per-block delta state.
-type recDeltas struct {
-	allocID, class, size, site, chain, create, lastChain int64
+// blockEncoder holds the two section buffers of a record block; one
+// encoder serves every block of a log.
+type blockEncoder struct {
+	shape, time []byte
 }
 
-// appendRecordBlock delta-encodes recs onto dst with fresh delta state.
-func appendRecordBlock(dst []byte, recs []*Record) []byte {
-	var pv recDeltas
+// encode fills the shape and time sections of one block with recs, with
+// fresh delta state.
+func (e *blockEncoder) encode(recs []*Record) {
+	shape, time := e.shape[:0], e.time[:0]
+	var allocID, create, collect int64
 	for _, r := range recs {
 		var flags byte
 		if r.Array {
@@ -286,26 +329,22 @@ func appendRecordBlock(dst []byte, recs []*Record) []byte {
 		if r.Interned {
 			flags |= 4
 		}
-		dst = append(dst, flags)
-		dst = appendZig(dst, int64(r.AllocID)-pv.allocID)
-		dst = appendZig(dst, int64(r.Class)-pv.class)
-		dst = appendZig(dst, int64(r.Elem))
-		dst = appendZig(dst, r.Size-pv.size)
-		dst = appendZig(dst, int64(r.Site)-pv.site)
-		dst = appendZig(dst, int64(r.Chain)-pv.chain)
-		dst = appendZig(dst, r.Create-pv.create)
-		dst = appendZig(dst, r.LastUse-r.Create)
-		dst = appendZig(dst, int64(r.LastUseChain)-pv.lastChain)
-		dst = appendZig(dst, int64(r.LastUseKind))
-		dst = appendZig(dst, r.Uses)
-		dst = appendZig(dst, r.Collect-r.Create)
-		pv = recDeltas{
-			allocID: int64(r.AllocID), class: int64(r.Class), size: r.Size,
-			site: int64(r.Site), chain: int64(r.Chain), create: r.Create,
-			lastChain: int64(r.LastUseChain),
-		}
+		shape = append(shape, flags)
+		shape = appendZig(shape, int64(r.Class))
+		shape = appendZig(shape, int64(r.Elem))
+		shape = appendZig(shape, r.Size)
+		shape = appendZig(shape, int64(r.Site))
+		shape = appendZig(shape, int64(r.Chain))
+		shape = appendZig(shape, int64(r.LastUseChain))
+		shape = appendZig(shape, int64(r.LastUseKind))
+		shape = appendZig(shape, r.Uses)
+		time = appendZig(time, int64(r.AllocID)-allocID)
+		time = appendZig(time, r.Create-create)
+		time = appendZig(time, r.LastUse-r.Create)
+		time = appendZig(time, r.Collect-collect)
+		allocID, create, collect = int64(r.AllocID), r.Create, r.Collect
 	}
-	return dst
+	e.shape, e.time = shape, time
 }
 
 func appendZig(dst []byte, v int64) []byte {

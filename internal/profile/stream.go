@@ -102,7 +102,7 @@ type Block struct {
 // Decode parses the block's records.
 func (b *Block) Decode() ([]*Record, error) { return b.decode() }
 
-// OpenLogStream auto-detects the log format (binary v3 magic vs text
+// OpenLogStream auto-detects the log format (binary v4 magic vs text
 // header) and returns a streaming reader.
 func OpenLogStream(r io.Reader) (*LogStream, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -289,7 +289,7 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 	if version != binVersion {
 		return nil, nil, fmt.Errorf("profile: unsupported binary log version %d", version)
 	}
-	if flags&^(binFlagGzip|binFlagCRC|binFlagSampled) != 0 {
+	if flags&^binFlagsKnown != 0 {
 		return nil, nil, fmt.Errorf("profile: binary log: unknown flags %#x", flags)
 	}
 	if flags&binFlagCRC == 0 {
@@ -458,7 +458,7 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 			return nil, corruptAt(blockStart, s.idx, seen, nil,
 				"profile: binary log: block %d claims %d records (log total %d)", s.idx, count, total)
 		}
-		if plen < count*minRecordBytes || plen > count*maxRecordBytes {
+		if plen < minPayloadBytes(count) || plen > maxPayloadBytes(count) {
 			return nil, corruptAt(blockStart, s.idx, seen, nil,
 				"profile: binary log: block %d payload length %d inconsistent with %d records", s.idx, plen, count)
 		}
@@ -492,71 +492,104 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 	return s, d, nil
 }
 
-// decodeRecordBlock reverses appendRecordBlock. The payload must hold
-// exactly count records; idx, base and payloadOff locate decode failures
-// (block index, records decoded before the block, payload byte offset).
+// decodeRecordBlock reverses blockEncoder.encode: one straight loop over
+// the shape section, then one over the time section. The payload must
+// hold exactly count records; idx, base and payloadOff locate decode
+// failures (block index, records decoded before the block, payload byte
+// offset).
 func decodeRecordBlock(payload []byte, count, idx, base int, payloadOff int64) ([]*Record, error) {
-	out := make([]*Record, 0, count)
+	shapeLen, k := binary.Uvarint(payload)
+	if k <= 0 || shapeLen > uint64(len(payload)-k) {
+		return nil, corruptAt(payloadOff, idx, base, nil,
+			"profile: binary log: block %d shape-section length overruns its %d-byte payload", idx, len(payload))
+	}
+	shape := payload[k : k+int(shapeLen)]
+	times := payload[k+int(shapeLen):]
+	shapeOff := payloadOff + int64(k)
+	timeOff := shapeOff + int64(shapeLen)
+
 	recs := make([]Record, count)
-	var pv recDeltas
-	b := payload
-	fail := func() ([]*Record, error) {
-		off := payloadOff + int64(len(payload)-len(b))
-		return nil, corruptAt(off, idx, base+len(out), nil,
-			"profile: binary log: corrupt record block (%d of %d records decoded)", len(out), count)
-	}
-	zig := func() (int64, bool) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, false
+	p := 0
+	for i := range recs {
+		if p == len(shape) || shape[p]&^7 != 0 {
+			return nil, corruptAt(shapeOff+int64(p), idx, base, nil,
+				"profile: binary log: corrupt shape section in block %d (record %d of %d)", idx, i, count)
 		}
-		b = b[n:]
-		return unzigzag(v), true
-	}
-	for i := 0; i < count; i++ {
-		if len(b) == 0 {
-			return fail()
-		}
-		flags := b[0]
-		if flags&^byte(7) != 0 {
-			return fail()
-		}
-		b = b[1:]
-		var v [12]int64
-		for k := range v {
-			var ok bool
-			if v[k], ok = zig(); !ok {
-				return fail()
+		flags := shape[p]
+		p++
+		var v [8]uint64
+		for f := range v {
+			x, next := uvarintAt(shape, p)
+			if next == 0 {
+				return nil, corruptAt(shapeOff+int64(p), idx, base, nil,
+					"profile: binary log: corrupt shape section in block %d (record %d of %d)", idx, i, count)
 			}
+			v[f], p = x, next
 		}
 		r := &recs[i]
-		r.AllocID = uint64(v[0] + pv.allocID)
-		r.Class = int32(v[1] + pv.class)
-		r.Elem = bytecode.ElemKind(v[2])
-		r.Size = v[3] + pv.size
-		r.Site = int32(v[4] + pv.site)
-		r.Chain = int32(v[5] + pv.chain)
-		r.Create = v[6] + pv.create
-		r.LastUse = v[7] + r.Create
-		r.LastUseChain = int32(v[8] + pv.lastChain)
-		r.LastUseKind = vm.UseKind(v[9])
-		r.Uses = v[10]
-		r.Collect = v[11] + r.Create
 		r.Array = flags&1 != 0
 		r.AtExit = flags&2 != 0
 		r.Interned = flags&4 != 0
-		pv = recDeltas{
-			allocID: int64(r.AllocID), class: int64(r.Class), size: r.Size,
-			site: int64(r.Site), chain: int64(r.Chain), create: r.Create,
-			lastChain: int64(r.LastUseChain),
-		}
-		out = append(out, r)
+		r.Class = int32(unzigzag(v[0]))
+		r.Elem = bytecode.ElemKind(unzigzag(v[1]))
+		r.Size = unzigzag(v[2])
+		r.Site = int32(unzigzag(v[3]))
+		r.Chain = int32(unzigzag(v[4]))
+		r.LastUseChain = int32(unzigzag(v[5]))
+		r.LastUseKind = vm.UseKind(unzigzag(v[6]))
+		r.Uses = unzigzag(v[7])
 	}
-	if len(b) != 0 {
-		return nil, corruptAt(payloadOff+int64(len(payload)-len(b)), idx, base+len(out), nil,
-			"profile: binary log: %d trailing bytes in record block", len(b))
+	if p != len(shape) {
+		return nil, corruptAt(shapeOff+int64(p), idx, base, nil,
+			"profile: binary log: %d trailing bytes in the shape section of block %d", len(shape)-p, idx)
+	}
+
+	out := make([]*Record, count)
+	var allocID, create, collect int64
+	p = 0
+	for i := range recs {
+		var v [4]uint64
+		for f := range v {
+			x, next := uvarintAt(times, p)
+			if next == 0 {
+				return nil, corruptAt(timeOff+int64(p), idx, base+i, nil,
+					"profile: binary log: corrupt time section in block %d (record %d of %d)", idx, i, count)
+			}
+			v[f], p = x, next
+		}
+		r := &recs[i]
+		allocID += unzigzag(v[0])
+		create += unzigzag(v[1])
+		collect += unzigzag(v[3])
+		r.AllocID = uint64(allocID)
+		r.Create = create
+		r.LastUse = create + unzigzag(v[2])
+		r.Collect = collect
+		out[i] = r
+	}
+	if p != len(times) {
+		return nil, corruptAt(timeOff+int64(p), idx, base+count, nil,
+			"profile: binary log: %d trailing bytes in the time section of block %d", len(times)-p, idx)
 	}
 	return out, nil
+}
+
+// uvarintAt decodes the uvarint at b[p:] and returns it with the offset
+// just past it; next is 0 when b[p:] holds no complete varint or one that
+// overflows 64 bits (binary.Uvarint's rule). It is small enough to inline.
+func uvarintAt(b []byte, p int) (v uint64, next int) {
+	for s := uint(0); s < 64 && p < len(b); s += 7 {
+		c := b[p]
+		p++
+		if c < 0x80 {
+			if s == 63 && c > 1 {
+				return 0, 0
+			}
+			return v | uint64(c)<<s, p
+		}
+		v |= uint64(c&0x7f) << s
+	}
+	return 0, 0
 }
 
 // ---- text stream ----
