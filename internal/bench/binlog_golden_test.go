@@ -27,30 +27,30 @@ type binlogGolden struct {
 // instruction count, the runtime-unit cost and a hash of the program
 // output, so the interpreter cannot trade work for speed unnoticed.
 var goldenBinaryLogs = map[string]binlogGolden{
-	"exact/analyzer":   {"8cadec0f840f26059d125858b6a4f57ab5d90baad49f961b161fe6b851fede9c", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
-	"exact/db":         {"c1d9fb5f1575db81c6329790294e27196962ad7a04bff3c113a9f7096c1ffa77", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
-	"exact/euler":      {"0a73b03f009b4dba36b9736bd848fda73625bfe854246b04795ba7e6d00e5e1f", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
-	"exact/jack":       {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
-	"exact/javac":      {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
-	"exact/jess":       {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
-	"exact/juru":       {"5b2660560efbe6494b0c94ac05c5332e8f32d2315058b4740f2023a162958f8f", 3109968, 7996877, "e51a4c7ab7b0c916d3dbafcfb844feebd44ecb995697e478f6be170ba275207a"},
-	"exact/mc":         {"483f6c54553c1d5b954043724a48691c16c8fc36c77481e4b919b1eccf960148", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
-	"exact/raytrace":   {"d26827f7fc163647a12c7340390aee963983eef2911e86575713020e1753c489", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
-	"gen/jack":         {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18299034, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
-	"gen/javac":        {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10148779, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
-	"gen/jess":         {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5722457, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
-	"mc/jack":          {"b355786b0971f18f334a949b529f9d00bf6aae31bf0f11d0518bfa176ea3732d", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
-	"mc/javac":         {"ac513474b5a431c9e51f07e8b309672b344b08a018c6d0268ec3c4e96b0c4787", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
-	"mc/jess":          {"215b1267a79586d363a745c9066a10b57af5c745c8fd9676b2a0203078d45354", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
-	"sampled/analyzer": {"7cf4c70e5a0cf6ccb2b0ff4db060db310de5fc3b1fa3f04c8aab3088c2aa9010", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
-	"sampled/db":       {"ce2deca927e88a9668135ec878d4633d57cfa94f6f77cbcd893bdab284fc88a7", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
-	"sampled/euler":    {"6a692be7685b58472b662dcd8369af6ae3d05fd8106198b3e081e6dc8b421028", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
-	"sampled/jack":     {"8a487ce06e074d256dc8d153ca45c13fe01397d225dc16d095fd7549199570aa", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
-	"sampled/javac":    {"bb0fad17ccbf87ba60280b4e374b2380fcc2c44afc3f646b6315c77ef732607d", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
-	"sampled/jess":     {"95ef91cbb1067c9224c6d2e22452b951ce8b843b37ba07ecb328fb59c734fede", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
-	"sampled/juru":     {"a431bf74b0f5efec92a5534ba9ca2168985bc9e1ee998b366fa8b8f14227cf1f", 3109968, 7996877, "e51a4c7ab7b0c916d3dbafcfb844feebd44ecb995697e478f6be170ba275207a"},
-	"sampled/mc":       {"6699cd9c38959f8263cdf719bd79df8d0c8bc97b2a12929c17dff84d69a4f529", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
-	"sampled/raytrace": {"00011ab8a9cb181d1eca271c826ae1ba391fbfba166fc6a3001e3cd4f5df7176", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
+	"exact/analyzer":   {"eef6cc6abb23f4b8d2cfdc8b3d5f7d52ae37b07146bd0d27fe039366d0a3b1a8", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
+	"exact/db":         {"ae249f7abdad3a05a05c841db9d9013eb172f807bf3755fd1b1f7cf5c8ac7504", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
+	"exact/euler":      {"92d5e256320593096d904974803ac55edc094c2f6ef8e09f7d7e8174d7454981", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
+	"exact/jack":       {"eb5d174746cf09a7f7bc31931a909c482b734f8fab653843237b4577a3eb5eb2", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"exact/javac":      {"c9cb4c345113847153fa1add3d6d9f062e6465bb1934ef6b1831399fce21d122", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"exact/jess":       {"383112668ef68ab4ef919ebb4a116254ec499fba6de4e8c4290383e5cee834d0", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
+	"exact/juru":       {"4c47ce23b37537fe253ed39e5fb863e06e69c2f1c359c814f2057f67b4df1f82", 3109968, 7996877, "e51a4c7ab7b0c916d3dbafcfb844feebd44ecb995697e478f6be170ba275207a"},
+	"exact/mc":         {"0798f4d5328fcb54d32681db761fed4bc02dd29e8f27b4000e76338f74cdf18f", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
+	"exact/raytrace":   {"2082cbd28c4de2775c652cae8ddf872e8a6258422a54fbd43b20084d92892a0a", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
+	"gen/jack":         {"eb5d174746cf09a7f7bc31931a909c482b734f8fab653843237b4577a3eb5eb2", 7510599, 18299034, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"gen/javac":        {"c9cb4c345113847153fa1add3d6d9f062e6465bb1934ef6b1831399fce21d122", 5828518, 10148779, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"gen/jess":         {"383112668ef68ab4ef919ebb4a116254ec499fba6de4e8c4290383e5cee834d0", 823699, 5722457, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
+	"mc/jack":          {"eb5d174746cf09a7f7bc31931a909c482b734f8fab653843237b4577a3eb5eb2", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"mc/javac":         {"c9cb4c345113847153fa1add3d6d9f062e6465bb1934ef6b1831399fce21d122", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"mc/jess":          {"383112668ef68ab4ef919ebb4a116254ec499fba6de4e8c4290383e5cee834d0", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
+	"sampled/analyzer": {"368fbe3181368ff270beb8742873596605eb630d6cc899a54829b9e75f4aee45", 10421291, 24982832, "2b2ca97d3c072024fee4e26bd3064d9c21ac476ed63ffd49b19583c051c6bca7"},
+	"sampled/db":       {"aef451ea220f5e73f251cf1c9452e8c0466353278e87a99709918a0d4856bd57", 4932045, 12505973, "bd7b0af801c2893686f42ec652d541099e88f5d67c268f9111a1fbc9bdf0f618"},
+	"sampled/euler":    {"f5ee6366d76b2084dd35b75b58964822cf607403cae1185ece7ce9908f7cb919", 255274349, 255500916, "7920db4fc3af045b8a49c127e6aca65946b3f79bd660f80ec4795ccb2e2967e8"},
+	"sampled/jack":     {"7062c08117d4de0abbbb2887a578e60d0310b39459ec4bcccc53686846dbb22a", 7510599, 18123336, "9c6e745d3616b1e29c5a240d87af8c80781438b8b6bd543894e052622f118dd3"},
+	"sampled/javac":    {"c07ac0ed9779e3dd7a36d243ae7354d3c44100a597c7c508ed904c15d7bd5b28", 5828518, 10041088, "333d28be729ad33e855bea85684e11dcf003812b2475765159efa6d3999c318c"},
+	"sampled/jess":     {"04cf1bc14e0aa26253e3b8b8e9d6d9ebac04c962cde5e869636d45d966a81208", 823699, 5697062, "63255509156a770c3a901740316c6e71158a15b86f8e9182cfa47055db9d2a18"},
+	"sampled/juru":     {"83bc4aa9e0374c05c2c8f8a19cdd5571097b61bedc91bce770b0554033cd701a", 3109968, 7996877, "e51a4c7ab7b0c916d3dbafcfb844feebd44ecb995697e478f6be170ba275207a"},
+	"sampled/mc":       {"b2aa2d411b5b4ea1e83af64bd19b4c0610930439d6886b219ea2bf6f33aa55bc", 16212414, 24866202, "b2cbd28b2eb411875e334c9ba9e5094222a9f450b18fa35450b0919231839c88"},
+	"sampled/raytrace": {"13a8f62e22849d4d32b98dbc7162e1b247d4da31e86059a181a402616a0fb98d", 5579807, 8331028, "0877cb77aeb1ac8e7c67dfe99a4396c6cce4cf969f8cce810202fa7c015c6e35"},
 }
 
 // collectorGoldenNames are the programs also pinned under the generational

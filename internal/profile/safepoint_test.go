@@ -75,9 +75,9 @@ type safepointGolden struct {
 }
 
 var goldenFinalizerRuns = map[vm.CollectorKind]safepointGolden{
-	vm.MarkSweep:    {"ee92723e5252bf91062a957171d893c1f7da877285bb6a112cc0f88f72958e09", 366626, 623928, "c99b1d8d4c942e5bb86af34bb5a38e442e1b5b45e6afb89c6b4ec6ebf88e3e80"},
-	vm.MarkCompact:  {"ee92723e5252bf91062a957171d893c1f7da877285bb6a112cc0f88f72958e09", 366626, 623928, "c99b1d8d4c942e5bb86af34bb5a38e442e1b5b45e6afb89c6b4ec6ebf88e3e80"},
-	vm.Generational: {"a633350193fa615f3efe44fa6d134464a3b8c062c7add5c42233941d41218ad8", 366626, 650320, "5d247d31869e9698842a025ec84ef75682e49b8f24e436edd1cd5e776262f82b"},
+	vm.MarkSweep:    {"fe811b7a35bbddd7cb5b287eef00d883d9ee5b13a77a67e501e93736b7a60c0a", 366626, 623928, "c99b1d8d4c942e5bb86af34bb5a38e442e1b5b45e6afb89c6b4ec6ebf88e3e80"},
+	vm.MarkCompact:  {"fe811b7a35bbddd7cb5b287eef00d883d9ee5b13a77a67e501e93736b7a60c0a", 366626, 623928, "c99b1d8d4c942e5bb86af34bb5a38e442e1b5b45e6afb89c6b4ec6ebf88e3e80"},
+	vm.Generational: {"d70e5a55edeca551867b89735a3111fe0e297da4fca85a5e8b03cac22a47b3e1", 366626, 650320, "5d247d31869e9698842a025ec84ef75682e49b8f24e436edd1cd5e776262f82b"},
 }
 
 // TestFinalizerSafepointGoldens profiles finalizerSrc under each collector
