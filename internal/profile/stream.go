@@ -273,6 +273,37 @@ func corruptAt(offset int64, block, records int, cause error, format string, arg
 	}
 }
 
+// HeaderBytes is the length of a binary log's header: the magic, the
+// version byte and the flags byte.
+const HeaderBytes = len(binMagic) + 2
+
+// CheckHeader returns the error the reader gives a binary log that starts
+// with head, judging its magic, version and flags alone, or nil when the
+// reader accepts them. A log without the binary magic is a text log, whose
+// header the text reader checks line by line; CheckHeader passes it.
+func CheckHeader(head []byte) error {
+	if !bytes.HasPrefix(head, binMagic[:]) {
+		return nil
+	}
+	if len(head) < HeaderBytes {
+		return fmt.Errorf("profile: binary log header: %w", io.ErrUnexpectedEOF)
+	}
+	return checkBinaryHeader(head[len(binMagic)], head[len(binMagic)+1])
+}
+
+func checkBinaryHeader(version, flags byte) error {
+	if version != binVersion {
+		return fmt.Errorf("profile: unsupported binary log version %d (this reader reads version %d)", version, binVersion)
+	}
+	if flags&^binFlagsKnown != 0 {
+		return fmt.Errorf("profile: binary log: unknown flags %#x", flags)
+	}
+	if flags&binFlagCRC == 0 {
+		return fmt.Errorf("profile: binary log: flags %#x lack the checksum flag every v%d log carries", flags, binVersion)
+	}
+	return nil
+}
+
 func openBinaryStream(br *bufio.Reader) (*LogStream, error) {
 	s, _, err := openBinaryReader(br)
 	return s, err
@@ -281,19 +312,13 @@ func openBinaryStream(br *bufio.Reader) (*LogStream, error) {
 // openBinaryReader parses a binary log's header and tables and returns the
 // stream together with its counting reader (BlockOffsets walks offsets).
 func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
-	header := make([]byte, len(binMagic)+2)
+	header := make([]byte, HeaderBytes)
 	if _, err := io.ReadFull(br, header); err != nil {
 		return nil, nil, fmt.Errorf("profile: binary log header: %w", noEOF(err))
 	}
 	version, flags := header[len(binMagic)], header[len(binMagic)+1]
-	if version != binVersion {
-		return nil, nil, fmt.Errorf("profile: unsupported binary log version %d", version)
-	}
-	if flags&^binFlagsKnown != 0 {
-		return nil, nil, fmt.Errorf("profile: binary log: unknown flags %#x", flags)
-	}
-	if flags&binFlagCRC == 0 {
-		return nil, nil, fmt.Errorf("profile: binary log: flags %#x lack the checksum flag every v%d log carries", flags, binVersion)
+	if err := checkBinaryHeader(version, flags); err != nil {
+		return nil, nil, err
 	}
 	compressed := flags&binFlagGzip != 0
 	var body io.Reader = br

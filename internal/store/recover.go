@@ -20,6 +20,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"dragprof/internal/profile"
 )
 
 // QuarantineReason is the JSON record written next to every quarantined
@@ -181,13 +183,22 @@ func (s *Store) verifyRun(runsDir, id string) (*RunMeta, string) {
 		return nil, fmt.Sprintf("run log missing or unreadable: %v", err)
 	}
 	hash := sha256.New()
+	head := make([]byte, profile.HeaderBytes)
+	h, _ := io.ReadFull(f, head) // a shorter log keeps what it has; the hash judges it
+	hash.Write(head[:h])
 	n, err := io.Copy(hash, f)
+	n += int64(h)
 	f.Close()
 	if err != nil {
 		return nil, fmt.Sprintf("run log unreadable: %v", err)
 	}
 	if got := hex.EncodeToString(hash.Sum(nil)); got != id {
 		return nil, fmt.Sprintf("torn run log: %d bytes hash to %s, not the run id", n, got[:12])
+	}
+	// An intact log this build's reader cannot parse (one written in an
+	// older format version) would fail every merge of its workload.
+	if err := profile.CheckHeader(head[:h]); err != nil {
+		return nil, fmt.Sprintf("run log format not readable: %v", err)
 	}
 	return &m, ""
 }

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -321,5 +323,76 @@ func TestRecoveryDropsSummaryOfFullyQuarantinedWorkload(t *testing.T) {
 	}
 	if len(sites) != 0 {
 		t.Fatalf("still serving %d sites of a workload with no runs", len(sites))
+	}
+}
+
+// A run whose log is intact but written in a format version this build's
+// reader rejects must be quarantined at Open: served, it would fail every
+// merge of its workload, and /sites would fail for every workload.
+func TestRecoveryQuarantinesUnreadableLogVersion(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestOne(t, st, "alpha", 600, 1)
+	betaID := ingestOne(t, st, "beta", 600, 2)
+
+	// Rewrite beta as a version-3 log under its own content id, with a
+	// matching commit record, as a build that wrote v3 would have left it.
+	runsDir := filepath.Join(dir, "shards", "000", "runs")
+	data, err := os.ReadFile(filepath.Join(runsDir, betaID+".log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaBlob, err := os.ReadFile(filepath.Join(runsDir, betaID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta RunMeta
+	if err := json.Unmarshal(metaBlob, &meta); err != nil {
+		t.Fatal(err)
+	}
+	data[4] = 3
+	sum := sha256.Sum256(data)
+	oldID := hex.EncodeToString(sum[:])
+	meta.ID = oldID
+	if metaBlob, err = json.Marshal(&meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, ext := range []string{".log", ".json"} {
+		if err := os.Remove(filepath.Join(runsDir, betaID+ext)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(runsDir, oldID+".log"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runsDir, oldID+".json"), metaBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := st2.NumRuns(); n != 1 {
+		t.Fatalf("%d runs after reopening, want the intact alpha run only", n)
+	}
+	reason := quarantineReasons(t, st2)[oldID+".log"]
+	if !strings.Contains(reason, "version 3") {
+		t.Fatalf("quarantine reason %q does not name the log version", reason)
+	}
+	sites, err := st2.SiteSummaries(2)
+	if err != nil {
+		t.Fatalf("SiteSummaries: %v", err)
+	}
+	if len(sites) == 0 {
+		t.Fatal("no sites for the intact workload")
+	}
+	for _, s := range sites {
+		if s.Name != "alpha" {
+			t.Fatalf("site %q of workload %q, want only alpha's", s.Desc, s.Name)
+		}
 	}
 }
