@@ -19,61 +19,80 @@ func benchProfile(b *testing.B) *profile.Profile {
 	return diffResult(b, "jack").Profile
 }
 
-func BenchmarkLogWrite(b *testing.B) {
-	p := benchProfile(b)
-	variants := []struct {
-		name  string
-		write func(w io.Writer) error
-	}{
-		{"text", func(w io.Writer) error { return profile.WriteLog(w, p) }},
-		{"binary", func(w io.Writer) error {
-			return profile.WriteBinaryLog(w, p, profile.BinaryOptions{})
-		}},
-		{"binary-gzip", func(w io.Writer) error {
-			return profile.WriteBinaryLog(w, p, profile.BinaryOptions{Compress: true})
-		}},
+// logBenchProfiles are the profiles the log benchmarks encode: exact jack,
+// and jack sampled at 1e-3, whose sparse records are where a log layout
+// can lose bytes. prefix starts the sub-benchmark names; the exact runs
+// keep their unprefixed names.
+func logBenchProfiles(b *testing.B) []struct {
+	prefix string
+	p      *profile.Profile
+} {
+	b.Helper()
+	jack, err := ByName("jack")
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := v.write(&buf); err != nil {
-					b.Fatal(err)
+	sampled, err := Run(jack, Original, OriginalInput, RunConfig{SampleRate: goldenSampleRate, SampleSeed: goldenSampleSeed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []struct {
+		prefix string
+		p      *profile.Profile
+	}{{"", benchProfile(b)}, {"sampled-", sampled.Profile}}
+}
+
+// logEncodings are the three ways a log is written.
+var logEncodings = []struct {
+	name  string
+	write func(w io.Writer, p *profile.Profile) error
+}{
+	{"text", profile.WriteLog},
+	{"binary", func(w io.Writer, p *profile.Profile) error {
+		return profile.WriteBinaryLog(w, p, profile.BinaryOptions{})
+	}},
+	{"binary-gzip", func(w io.Writer, p *profile.Profile) error {
+		return profile.WriteBinaryLog(w, p, profile.BinaryOptions{Compress: true})
+	}},
+}
+
+func BenchmarkLogWrite(b *testing.B) {
+	for _, lp := range logBenchProfiles(b) {
+		for _, enc := range logEncodings {
+			b.Run(lp.prefix+enc.name, func(b *testing.B) {
+				var buf bytes.Buffer
+				for i := 0; i < b.N; i++ {
+					buf.Reset()
+					if err := enc.write(&buf, lp.p); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(float64(buf.Len()), "log-bytes")
-			b.SetBytes(int64(buf.Len()))
-		})
+				b.ReportMetric(float64(buf.Len()), "log-bytes")
+				b.SetBytes(int64(buf.Len()))
+			})
+		}
 	}
 }
 
 func BenchmarkLogRead(b *testing.B) {
-	p := benchProfile(b)
-	encode := map[string]func(w io.Writer) error{
-		"text": func(w io.Writer) error { return profile.WriteLog(w, p) },
-		"binary": func(w io.Writer) error {
-			return profile.WriteBinaryLog(w, p, profile.BinaryOptions{})
-		},
-		"binary-gzip": func(w io.Writer) error {
-			return profile.WriteBinaryLog(w, p, profile.BinaryOptions{Compress: true})
-		},
-	}
-	for _, name := range []string{"text", "binary", "binary-gzip"} {
-		b.Run(name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := encode[name](&buf); err != nil {
-				b.Fatal(err)
-			}
-			data := buf.Bytes()
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := profile.ReadLog(bytes.NewReader(data)); err != nil {
+	for _, lp := range logBenchProfiles(b) {
+		for _, enc := range logEncodings {
+			b.Run(lp.prefix+enc.name, func(b *testing.B) {
+				var buf bytes.Buffer
+				if err := enc.write(&buf, lp.p); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				data := buf.Bytes()
+				b.SetBytes(int64(len(data)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := profile.ReadLog(bytes.NewReader(data)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(len(data)), "log-bytes")
+			})
+		}
 	}
 }
 
