@@ -3,7 +3,7 @@
 // by their potential space saving, each classified against the paper's
 // lifetime patterns with the suggested rewrite.
 //
-// The log format (text v2 or binary v3, gzipped or not) is auto-detected;
+// The log format (text v2 or binary v4, gzipped or not) is auto-detected;
 // site aggregation fans out over GOMAXPROCS workers by default (-workers)
 // and is byte-identical at every worker count. -salvage analyzes as much
 // of a truncated or corrupted log as its checksums vouch for, flagging the

@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dragprof", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "drag.log", "drag log output path")
-	format := fs.String("format", "binary", "log format: binary (v3, compact) or text (v2, line-oriented)")
+	format := fs.String("format", "binary", "log format: binary (v4, compact) or text (v2, line-oriented)")
 	compress := fs.Bool("compress", true, "gzip the binary log body (ignored for -format text)")
 	interval := fs.Int64("interval", 100<<10, "deep-GC interval in allocated bytes (the paper's 100 KB)")
 	heap := fs.Int64("heap", 48<<20, "heap capacity in bytes")

@@ -230,8 +230,9 @@ func (pr *Profile) SampleRate() float64 { return pr.p.EffectiveSampleRate() }
 // (the file interface between phase 1 and phase 2).
 func (pr *Profile) WriteLog(w io.Writer) error { return profile.WriteLog(w, pr.p) }
 
-// WriteBinaryLog serializes the profile in the compact binary v3 log
-// format (delta-encoded record blocks; compress gzips the body). Binary
+// WriteBinaryLog serializes the profile in the compact binary v4 log
+// format (record blocks of a shape and a time section; compress gzips
+// the body). Binary
 // and text logs are interchangeable: ReadLog auto-detects both.
 func (pr *Profile) WriteBinaryLog(w io.Writer, compress bool) error {
 	return profile.WriteBinaryLog(w, pr.p, profile.BinaryOptions{Compress: compress})

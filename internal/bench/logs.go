@@ -9,7 +9,7 @@ import (
 )
 
 // WorkloadLog is one benchmark's profiled run serialized as an
-// uncompressed binary v3 drag log — the shared corpus for the dragserved
+// uncompressed binary v4 drag log — the shared corpus for the dragserved
 // ingest, fuzz and concurrency tests and the ingest benchmark.
 type WorkloadLog struct {
 	// Name is the benchmark name (registry key).

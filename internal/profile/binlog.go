@@ -93,9 +93,9 @@ const (
 	binFlagSampled = 4
 	binFlagsKnown  = binFlagGzip | binFlagCRC | binFlagSampled
 
-	// gzipLevel is the compression level of a gzipped log. The shape
-	// section's repeats are found as well at level 4 as at the default
-	// level 6, in about a third of the time.
+	// gzipLevel is the compression level of a gzipped log. On v4 logs,
+	// level 4 writes about 4% more bytes than the default level 6 in
+	// about half the time; level 1 writes 15-22% more.
 	gzipLevel = 4
 
 	// checkpointEveryBlocks is the checkpoint cadence: after every 16th
@@ -106,17 +106,16 @@ const (
 	// maxBlockRecords bounds a block's record count; readers reject
 	// larger claims before allocating.
 	maxBlockRecords = 1 << 20
-	// A trailer's shape is its flags byte plus eight varints, its times
-	// four varints; a varint takes 1 to binary.MaxVarintLen64 bytes.
-	minShapeBytes = 1 + 8
+	// minRecordBytes and maxRecordBytes bound one encoded trailer: a
+	// flags byte and twelve varints (eight in the shape section, four in
+	// the time section) of 1 to binary.MaxVarintLen64 bytes each. A
+	// payload of n trailers adds the shape-length varint, so its length
+	// lies in [minPayloadBytes(n), maxPayloadBytes(n)].
+	minRecordBytes = 1 + 12
+	maxRecordBytes = 1 + 12*binary.MaxVarintLen64
+	// maxShapeBytes bounds one trailer's shape: its flags byte and eight
+	// varints.
 	maxShapeBytes = 1 + 8*binary.MaxVarintLen64
-	minTimeBytes  = 4
-	maxTimeBytes  = 4 * binary.MaxVarintLen64
-	// minRecordBytes and maxRecordBytes bound one encoded trailer. A
-	// payload of n records is one shape-length varint plus n trailers, so
-	// its length lies in [minPayloadBytes(n), maxPayloadBytes(n)].
-	minRecordBytes = minShapeBytes + minTimeBytes
-	maxRecordBytes = maxShapeBytes + maxTimeBytes
 	// maxStringBytes bounds a single table string.
 	maxStringBytes = 1 << 24
 	// maxTableEntries bounds every table's entry count.
@@ -237,10 +236,10 @@ func writeBinaryBody(w io.Writer, p *Profile, opts BinaryOptions) error {
 		blk.encode(p.Records[i:j])
 		enc.crc = 0
 		enc.uvarint(uint64(j - i))
-		enc.uvarint(uint64(uvarintLen(uint64(len(blk.shape))) + len(blk.shape) + len(blk.time)))
+		enc.uvarint(uint64(uvarintLen(uint64(len(blk.shape))) + len(blk.shape) + len(blk.times)))
 		enc.uvarint(uint64(len(blk.shape)))
 		enc.bytes(blk.shape)
-		enc.bytes(blk.time)
+		enc.bytes(blk.times)
 		enc.rawCRC(enc.crc)
 		written += j - i
 		b++
@@ -310,13 +309,13 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // blockEncoder holds the two section buffers of a record block; one
 // encoder serves every block of a log.
 type blockEncoder struct {
-	shape, time []byte
+	shape, times []byte
 }
 
 // encode fills the shape and time sections of one block with recs, with
 // fresh delta state.
 func (e *blockEncoder) encode(recs []*Record) {
-	shape, time := e.shape[:0], e.time[:0]
+	shape, times := e.shape[:0], e.times[:0]
 	var allocID, create, collect int64
 	for _, r := range recs {
 		var flags byte
@@ -338,13 +337,13 @@ func (e *blockEncoder) encode(recs []*Record) {
 		shape = appendZig(shape, int64(r.LastUseChain))
 		shape = appendZig(shape, int64(r.LastUseKind))
 		shape = appendZig(shape, r.Uses)
-		time = appendZig(time, int64(r.AllocID)-allocID)
-		time = appendZig(time, r.Create-create)
-		time = appendZig(time, r.LastUse-r.Create)
-		time = appendZig(time, r.Collect-collect)
+		times = appendZig(times, int64(r.AllocID)-allocID)
+		times = appendZig(times, r.Create-create)
+		times = appendZig(times, r.LastUse-r.Create)
+		times = appendZig(times, r.Collect-collect)
 		allocID, create, collect = int64(r.AllocID), r.Create, r.Collect
 	}
-	e.shape, e.time = shape, time
+	e.shape, e.times = shape, times
 }
 
 func appendZig(dst []byte, v int64) []byte {

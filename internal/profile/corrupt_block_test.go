@@ -140,7 +140,7 @@ func TestPayloadBoundsHold(t *testing.T) {
 				recs[i] = r
 			}
 			e.encode(recs)
-			plen := uint64(uvarintLen(uint64(len(e.shape))) + len(e.shape) + len(e.time))
+			plen := uint64(uvarintLen(uint64(len(e.shape))) + len(e.shape) + len(e.times))
 			lo, hi := minPayloadBytes(uint64(nrec)), maxPayloadBytes(uint64(nrec))
 			if plen < lo || plen > hi {
 				t.Errorf("%d records like %+v: payload %d bytes outside [%d, %d]", nrec, *r, plen, lo, hi)
