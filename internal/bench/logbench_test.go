@@ -19,14 +19,17 @@ func benchProfile(b *testing.B) *profile.Profile {
 	return diffResult(b, "jack").Profile
 }
 
-// logBenchProfiles are the profiles the log benchmarks encode: exact jack,
-// and jack sampled at 1e-3, whose sparse records are where a log layout
-// can lose bytes. prefix starts the sub-benchmark names; the exact runs
-// keep their unprefixed names.
-func logBenchProfiles(b *testing.B) []struct {
+// logBenchProfile is one profile the log benchmarks encode; prefix starts
+// its sub-benchmark names.
+type logBenchProfile struct {
 	prefix string
 	p      *profile.Profile
-} {
+}
+
+// logBenchProfiles are exact jack, under the sub-benchmark names the log
+// benchmarks have always had, and jack sampled at 1e-3, whose sparse
+// records are where a log layout can lose bytes.
+func logBenchProfiles(b *testing.B) []logBenchProfile {
 	b.Helper()
 	jack, err := ByName("jack")
 	if err != nil {
@@ -36,10 +39,7 @@ func logBenchProfiles(b *testing.B) []struct {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return []struct {
-		prefix string
-		p      *profile.Profile
-	}{{"", benchProfile(b)}, {"sampled-", sampled.Profile}}
+	return []logBenchProfile{{"", benchProfile(b)}, {"sampled-", sampled.Profile}}
 }
 
 // logEncodings are the three ways a log is written.

@@ -91,7 +91,6 @@ const (
 	binFlagGzip    = 1
 	binFlagCRC     = 2
 	binFlagSampled = 4
-	binFlagsKnown  = binFlagGzip | binFlagCRC | binFlagSampled
 
 	// gzipLevel is the compression level of a gzipped log. On v4 logs,
 	// level 4 writes about 4% more bytes than the default level 6 in

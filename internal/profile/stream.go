@@ -288,14 +288,11 @@ func CheckHeader(head []byte) error {
 	if len(head) < HeaderBytes {
 		return fmt.Errorf("profile: binary log header: %w", io.ErrUnexpectedEOF)
 	}
-	return checkBinaryHeader(head[len(binMagic)], head[len(binMagic)+1])
-}
-
-func checkBinaryHeader(version, flags byte) error {
+	version, flags := head[len(binMagic)], head[len(binMagic)+1]
 	if version != binVersion {
 		return fmt.Errorf("profile: unsupported binary log version %d (this reader reads version %d)", version, binVersion)
 	}
-	if flags&^binFlagsKnown != 0 {
+	if flags&^(binFlagGzip|binFlagCRC|binFlagSampled) != 0 {
 		return fmt.Errorf("profile: binary log: unknown flags %#x", flags)
 	}
 	if flags&binFlagCRC == 0 {
@@ -316,10 +313,10 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 	if _, err := io.ReadFull(br, header); err != nil {
 		return nil, nil, fmt.Errorf("profile: binary log header: %w", noEOF(err))
 	}
-	version, flags := header[len(binMagic)], header[len(binMagic)+1]
-	if err := checkBinaryHeader(version, flags); err != nil {
+	if err := CheckHeader(header); err != nil {
 		return nil, nil, err
 	}
+	flags := header[len(binMagic)+1]
 	compressed := flags&binFlagGzip != 0
 	var body io.Reader = br
 	if compressed {
