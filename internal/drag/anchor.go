@@ -73,7 +73,7 @@ func AnchorGroups(p *profile.Profile, opts Options) []*Group {
 	for _, acc := range accs {
 		groups = append(groups, acc)
 	}
-	out, _ := finalize(groups, opts, false)
+	out, _ := finalize(groups, opts, false, false)
 	return out
 }
 

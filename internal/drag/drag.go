@@ -49,7 +49,9 @@ func (o Options) withDefaults(p *profile.Profile) Options {
 		o.NestDepth = 4
 	}
 	if o.NeverUsedWindow == 0 {
-		o.NeverUsedWindow = p.GCInterval
+		if p != nil {
+			o.NeverUsedWindow = p.GCInterval
+		}
 		if o.NeverUsedWindow == 0 {
 			o.NeverUsedWindow = profile.DefaultGCInterval
 		}
@@ -190,6 +192,9 @@ type Group struct {
 	// estVar is the group's raw variance sum Σ(1-π)(w·drag)²; the report
 	// totals fold it across groups in sorted order (deterministically).
 	estVar float64
+	// moments are the exact drag-time moments (nested-site groups only),
+	// which Report.Summary hands on.
+	moments Moments
 }
 
 // NeverUsedFraction is the fraction of the site's objects never used.
@@ -240,6 +245,9 @@ type Report struct {
 	EstTotalBytes   float64
 	EstTotalDrag    float64
 	EstTotalDragCI  float64
+
+	// sites is the profile's site-table size, part of Summary's Shape.
+	sites int
 }
 
 // Sampled reports whether the report was computed from a sampled profile.
@@ -558,13 +566,14 @@ func (a *Accumulator) Report() *Report {
 	rep.FinalClock = a.p.FinalClock
 	rep.Options = a.opts
 	rep.SampleRate = a.rate
+	rep.sites = len(a.p.Sites)
 	coarse := nonNil(a.coarse)
 	for _, g := range a.coarseOther {
 		coarse = append(coarse, g)
 	}
 	var tot estTotals
-	rep.BySite, tot = finalize(coarse, a.opts, a.sampled)
-	rep.ByNestedSite, _ = finalize(nonNil(a.fine), a.opts, a.sampled)
+	rep.BySite, tot = finalize(coarse, a.opts, a.sampled, false)
+	rep.ByNestedSite, _ = finalize(nonNil(a.fine), a.opts, a.sampled, true)
 	if a.sampled {
 		// Every reported record lands in exactly one coarse group, so the
 		// coarse totals are the program-wide estimates; summing per-group
@@ -645,12 +654,21 @@ type estTotals struct {
 // ci95 is the 95% confidence half-width for a variance estimate.
 func ci95(varSum float64) float64 { return 1.96 * math.Sqrt(varSum) }
 
-func finalize(accs []*groupAcc, opts Options, sampled bool) ([]*Group, estTotals) {
+// finalize turns group accumulators into sorted groups; moments asks for
+// each group's exact drag-time moments too.
+func finalize(accs []*groupAcc, opts Options, sampled, moments bool) ([]*Group, estTotals) {
 	var tot estTotals
 	out := make([]*Group, 0, len(accs))
 	for _, acc := range accs {
 		g := &acc.g
 		g.MeanDragTime, g.StdDragTime = meanStd(acc.dragTimes)
+		if moments {
+			// Drag times are integers below 2^53, so each float64 in
+			// dragTimes converts back exactly.
+			for _, x := range acc.dragTimes {
+				g.moments.add(int64(x))
+			}
+		}
 		g.Pattern = classify(g, opts)
 		if sampled {
 			// Left-to-right over the record-ordered sample slice: the
@@ -713,8 +731,15 @@ func finalize(accs []*groupAcc, opts Options, sampled bool) ([]*Group, estTotals
 	return out, tot
 }
 
-// classify applies the Section 3.4 decision rules.
+// classify applies the Section 3.4 decision rules to a finalized group.
 func classify(g *Group, opts Options) Pattern {
+	return classifyWith(g, g.MeanDragTime > 0 && g.StdDragTime/g.MeanDragTime > 1.0, opts)
+}
+
+// classifyWith applies the Section 3.4 decision rules given g's integer
+// totals, its mean drag time and whether the coefficient of variation of
+// its drag times exceeds 1.
+func classifyWith(g *Group, highVariance bool, opts Options) Pattern {
 	if g.Count == 0 || g.Drag == 0 {
 		return PatternNone
 	}
@@ -728,8 +753,7 @@ func classify(g *Group, opts Options) Pattern {
 	// Coefficient of variation of drag time distinguishes "most objects
 	// drag long" from "a few outliers drag".
 	if g.MeanDragTime > 0 {
-		cv := g.StdDragTime / g.MeanDragTime
-		if cv > 1.0 {
+		if highVariance {
 			return PatternHighVariance
 		}
 		if g.MeanDragTime >= float64(opts.LargeDragFactor*opts.NeverUsedWindow) {

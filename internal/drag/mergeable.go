@@ -21,11 +21,28 @@ var ErrSiteTables = errors.New("drag: incompatible site tables")
 // exact runs (or two rates) scale their estimates differently; that error
 // wraps ErrRateMismatch, and mismatched site tables wrap ErrSiteTables.
 func CheckMergeable(a, b *profile.Profile) error {
-	if ra, rb := a.EffectiveSampleRate(), b.EffectiveSampleRate(); ra != rb {
-		return fmt.Errorf("%w (%g vs %g): sampled and exact runs cannot be merged", ErrRateMismatch, ra, rb)
+	return CheckShapes(ShapeOf(a), ShapeOf(b))
+}
+
+// ShapeOf returns the shape CheckMergeable compares for a run.
+func ShapeOf(p *profile.Profile) Shape {
+	return Shape{SampleRate: p.EffectiveSampleRate(), Sites: len(p.Sites)}
+}
+
+// Shape is what CheckMergeable compares between two runs: the effective
+// sample rate and the size of the site table.
+type Shape struct {
+	SampleRate float64 `json:"rate"`
+	Sites      int     `json:"siteTable"`
+}
+
+// CheckShapes is CheckMergeable over two runs' shapes.
+func CheckShapes(a, b Shape) error {
+	if a.SampleRate != b.SampleRate {
+		return fmt.Errorf("%w (%g vs %g): sampled and exact runs cannot be merged", ErrRateMismatch, a.SampleRate, b.SampleRate)
 	}
-	if len(a.Sites) != len(b.Sites) {
-		return fmt.Errorf("%w (%d/%d sites): runs come from different builds", ErrSiteTables, len(a.Sites), len(b.Sites))
+	if a.Sites != b.Sites {
+		return fmt.Errorf("%w (%d/%d sites): runs come from different builds", ErrSiteTables, a.Sites, b.Sites)
 	}
 	return nil
 }

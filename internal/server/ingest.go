@@ -34,6 +34,8 @@ type IngestResponse struct {
 //	201 clean upload stored
 //	200 duplicate of a stored run
 //	401 missing or unknown tenant token (multi-tenant mode)
+//	409 the run cannot merge with its workload's stored runs (another
+//	    sample rate or site table); nothing is stored
 //	413 upload exceeds the size limit
 //	422 damaged upload — body carries the SalvageReport; a salvageable
 //	    prefix is stored and reported in Run
@@ -102,6 +104,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusRequestEntityTooLarge, IngestResponse{
 			Error: "upload exceeds the size limit",
 		})
+	case res.Unmergeable != nil:
+		s.metrics.ingestUnmergeable.Add(1)
+		writeJSON(w, http.StatusConflict, IngestResponse{Error: res.Unmergeable.Error()})
 	case res.Salvage != nil:
 		s.metrics.ingestSalvaged.Add(1)
 		if res.Meta != nil && !res.Duplicate {

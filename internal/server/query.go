@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"dragprof/internal/drag"
@@ -157,8 +156,9 @@ func (s *Server) handleSites(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// sortSites re-sorts in place; ties always break by workload name then
-// site so every ordering is total and deterministic.
+// sortSites re-sorts in place; ties always break by workload name, site
+// and chain key (store.SortSites) so every ordering is total and
+// deterministic.
 func sortSites(sums []*store.SiteSummary, key string) bool {
 	var metric func(s *store.SiteSummary) int64
 	switch key {
@@ -173,15 +173,7 @@ func sortSites(sums []*store.SiteSummary, key string) bool {
 	default:
 		return false
 	}
-	sort.Slice(sums, func(i, j int) bool {
-		if m, n := metric(sums[i]), metric(sums[j]); m != n {
-			return m > n
-		}
-		if sums[i].Name != sums[j].Name {
-			return sums[i].Name < sums[j].Name
-		}
-		return sums[i].Desc < sums[j].Desc
-	})
+	store.SortSites(sums, metric)
 	return true
 }
 

@@ -501,11 +501,13 @@ func TestMetrics503ExcludedFrom5xx(t *testing.T) {
 }
 
 // TestDiffRejectsMixedSampleRates pins the 422 surface for diffing a
-// sampled run against an exact one.
+// sampled run against an exact one. The two are runs of different
+// workloads: a tenant refuses a sampled run of a workload it holds exact
+// runs of (409).
 func TestDiffRejectsMixedSampleRates(t *testing.T) {
 	_, ts := twoTenantServer(t, t.TempDir())
 	exact := syntheticProfile("javac", 40, 1)
-	sampled := syntheticProfile("javac", 40, 2)
+	sampled := syntheticProfile("javac-sampled", 40, 2)
 	sampled.SampleRate = 0.5
 	a := pushAs(t, ts, "tok-alpha", encodeLog(t, exact))
 	b := pushAs(t, ts, "tok-alpha", encodeLog(t, sampled))

@@ -15,9 +15,9 @@ import (
 // tenant so multiplexing consumers can tell streams apart, and the
 // per-site numbers are exactly the additive components of the compacted
 // summaries: summing the sites of every run-ingested event reproduces the
-// /sites totals (drag, in-use, bytes, objects, never-used are additive
-// under the accumulator merge; only the pattern classification is not,
-// which is why it is absent here).
+// /sites totals (drag, in-use, bytes, objects, never-used). The pattern is
+// absent: it is classified from the merged drag-time moments, which the
+// events do not carry, not summed from per-run patterns.
 type (
 	// RunEvent is the "run-ingested" payload: one stored run and its
 	// per-site drag deltas.

@@ -17,8 +17,12 @@ import (
 type SiteSummary struct {
 	// Name is the workload the summary belongs to.
 	Name string `json:"name"`
-	// Desc is the nested allocation-site description (the merge key).
+	// Desc is the nested allocation-site description.
 	Desc string `json:"site"`
+	// Key is the site's canonical chain-suffix key, the merge key. Two
+	// keys can render one description, so it breaks the last tie of the
+	// /sites order; it is not served.
+	Key string `json:"-"`
 	// Runs counts the runs merged into this summary.
 	Runs int `json:"runs"`
 	// Count/NeverUsed/Bytes are summed object counts and sizes.
@@ -32,18 +36,30 @@ type SiteSummary struct {
 	Pattern string `json:"pattern"`
 }
 
-// workloadSummary is the on-disk compaction artifact for one workload.
+// summaryVersion marks a compaction summary that carries drag-time
+// moments. A summary without it was written before summaries became
+// additive: it is stale, and the next compaction rebuilds it from the
+// logs.
+const summaryVersion = 2
+
+// workloadSummary is the on-disk compaction artifact for one workload:
+// the sum of its runs' drag.Summary values.
 type workloadSummary struct {
+	Version int `json:"version"`
 	// Name is the workload.
 	Name string `json:"name"`
-	// Runs lists the run ids merged, sorted — the deterministic merge
-	// order, and the staleness check against the live run set.
+	// Runs lists the run ids merged, sorted — the staleness check against
+	// the live run set. Window is the never-used window of Runs[0], whose
+	// options the merge classifies under.
 	Runs []string `json:"runs"`
-	// TotalDrag is the merged report's drag integral.
-	TotalDrag int64 `json:"totalDrag"`
-	// Sites are the merged per-site summaries, ordered by drag descending
-	// (the merged report's ByNestedSite order).
-	Sites []*SiteSummary `json:"sites"`
+	drag.Summary
+	// rows are the /sites rows rendered from the summary.
+	rows []*SiteSummary
+}
+
+// additive reports whether the summary can take further runs by addition.
+func (ws *workloadSummary) additive() bool {
+	return ws.Version == summaryVersion && len(ws.Runs) > 0
 }
 
 // compactKey keeps file names safe regardless of workload-name contents.
@@ -84,6 +100,7 @@ func (s *Store) loadCompactedLocked() error {
 			moved = true
 			continue
 		}
+		ws.render()
 		s.compacted[ws.Name] = &ws
 	}
 	if moved {
@@ -104,16 +121,21 @@ func (s *Store) Dirty() bool {
 	return len(s.dirty) > 0
 }
 
-// Compact rebuilds the per-site summaries of every workload whose run set
-// changed since the last compaction. Each stale workload is folded once,
-// over all shards, through mergeWorkload in sorted run-id order, so the
-// result is independent of ingest order, of the shard count and of which
+// CompactionLogsRead counts the run logs compaction has folded since the
+// store was opened. A run ingested by this process is added from the
+// summary ingest kept, so it is read only after a restart or when its
+// workload is rebuilt.
+func (s *Store) CompactionLogsRead() int64 { return s.logsRead.Load() }
+
+// Compact brings the summary of every workload whose run set changed
+// since the last compaction up to date. Summaries add (drag.Summary.Add),
+// so the new summary is the stored one plus the runs it lacks, and the
+// result does not depend on ingest order, on the shard count or on which
 // server performed the merge. Compaction is single-flight: a call that
 // starts while another runs waits for it, then merges only what is still
-// dirty. workers is accepted for the RunStore contract and ignored: each
-// run folds on one worker, because compaction runs in the background on
-// the CPUs ingest folds on, and a wider pool would hold every block's
-// accumulator until the final merge.
+// dirty. workers is accepted for the RunStore contract and ignored: a run
+// whose log must be read folds on one worker, because compaction runs in
+// the background on the CPUs ingest folds on.
 func (s *Store) Compact(workers int) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -127,11 +149,19 @@ func (s *Store) Compact(workers int) error {
 
 	compactDir := filepath.Join(s.root, "compact")
 	for _, name := range stale {
-		ws, err := s.mergeWorkload(name, s.runIDs(name))
+		s.mu.Lock()
+		ids := s.runIDs(name)
+		old := s.compacted[name]
+		kept := make(map[string]*drag.Summary, len(s.runSums[name]))
+		for id, sum := range s.runSums[name] {
+			kept[id] = sum
+		}
+		s.mu.Unlock()
+		ws, err := s.mergeWorkload(name, ids, old, kept)
 		if err != nil {
 			return err
 		}
-		data, err := json.MarshalIndent(ws, "", "  ")
+		data, err := json.Marshal(ws)
 		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
@@ -150,6 +180,12 @@ func (s *Store) Compact(workers int) error {
 		// merge missed keeps the flag set.
 		s.mu.Lock()
 		s.compacted[name] = ws
+		for _, id := range ws.Runs {
+			delete(s.runSums[name], id)
+		}
+		if len(s.runSums[name]) == 0 {
+			delete(s.runSums, name)
+		}
 		if sameRunSet(ws.Runs, s.runIDs(name)) {
 			delete(s.dirty, name)
 		}
@@ -158,73 +194,139 @@ func (s *Store) Compact(workers int) error {
 	return nil
 }
 
-// mergeWorkload merges one workload's runs into a single summary. Each
-// run's stored log streams through drag.FoldLog on one worker (Compact
-// says why), and the per-run accumulators merge in sorted-id order, which
-// makes the fold deterministic.
-func (s *Store) mergeWorkload(name string, ids []string) (*workloadSummary, error) {
-	var (
-		acc  *drag.Accumulator
-		base *profile.Profile
-	)
+// mergeWorkload returns the summary of one workload's runs ids. When old
+// has moments and every run it covers is still stored, the result is old
+// plus the runs old lacks; otherwise it is rebuilt from every run. A run's
+// summary comes from kept, the summaries ingest kept in memory, and only
+// a run missing there has its log folded (foldRun). Summaries add in any
+// order to the same integers, and the never-used window is always that of
+// the smallest run id, so appending and rebuilding write identical bytes.
+func (s *Store) mergeWorkload(name string, ids []string, old *workloadSummary, kept map[string]*drag.Summary) (*workloadSummary, error) {
+	ws := &workloadSummary{Version: summaryVersion, Name: name, Runs: ids}
+	have := map[string]bool{}
+	if old != nil && old.additive() && coversAll(ids, old.Runs) {
+		ws.Summary = old.Summary
+		for _, id := range old.Runs {
+			have[id] = true
+		}
+	}
 	for _, id := range ids {
-		f, err := os.Open(s.home(id).path(id, ".log"))
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		var runAcc *drag.Accumulator
-		stream, err := profile.OpenLogStream(f)
-		if err == nil {
-			runAcc, err = drag.FoldLog(stream, drag.Options{}, 1)
-		}
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("store: compacting run %s: %w", id, err)
-		}
-		p := stream.Profile()
-		if acc == nil {
-			base, acc = p, runAcc
+		if have[id] {
 			continue
 		}
-		if err := drag.CheckMergeable(base, p); err != nil {
-			return nil, fmt.Errorf("store: run %s: %w", id, err)
+		run := kept[id]
+		if run == nil {
+			var err error
+			if run, err = s.foldRun(id); err != nil {
+				return nil, err
+			}
 		}
-		acc.Merge(runAcc)
+		if len(have) == 0 {
+			ws.Summary = *run
+		} else if err := drag.CheckShapes(ws.Shape, run.Shape); err != nil {
+			return nil, fmt.Errorf("store: run %s: %w", id, err)
+		} else {
+			ws.Add(run)
+			if id == ids[0] {
+				ws.Window = run.Window
+			}
+		}
+		have[id] = true
 	}
-	ws := &workloadSummary{Name: name, Runs: ids}
-	if acc == nil {
-		return ws, nil
-	}
-	rep := acc.Report()
-	ws.TotalDrag = rep.TotalDrag
-	ws.Sites = SummarizeSites(name, len(ids), rep)
+	ws.render()
 	return ws, nil
 }
 
-// SummarizeSites renders a report's nested-site groups, in the report's
-// drag order, as the summaries /sites serves for a workload merged from
-// runs runs.
-func SummarizeSites(name string, runs int, rep *drag.Report) []*SiteSummary {
-	var out []*SiteSummary
-	for _, g := range rep.ByNestedSite {
+// foldRun streams a stored run's log through drag.FoldLog on one worker
+// (Compact says why) and returns the run's summary.
+func (s *Store) foldRun(id string) (*drag.Summary, error) {
+	s.logsRead.Add(1)
+	f, err := os.Open(s.home(id).path(id, ".log"))
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	var acc *drag.Accumulator
+	stream, err := profile.OpenLogStream(f)
+	if err == nil {
+		acc, err = drag.FoldLog(stream, drag.Options{}, 1)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: compacting run %s: %w", id, err)
+	}
+	return acc.Report().Summary(), nil
+}
+
+// coversAll reports whether every id of sub (sorted) is in ids (sorted).
+func coversAll(ids, sub []string) bool {
+	i := 0
+	for _, id := range sub {
+		for i < len(ids) && ids[i] < id {
+			i++
+		}
+		if i == len(ids) || ids[i] != id {
+			return false
+		}
+	}
+	return true
+}
+
+// render fills ws.rows from the summary.
+func (ws *workloadSummary) render() {
+	ws.rows = siteRows(ws.Name, len(ws.Runs), &ws.Summary)
+}
+
+// siteRows renders a summary's groups as the summaries /sites serves for
+// a workload merged from runs runs, in the /sites order.
+func siteRows(name string, runs int, sum *drag.Summary) []*SiteSummary {
+	out := make([]*SiteSummary, 0, len(sum.Groups))
+	for i := range sum.Groups {
+		g := &sum.Groups[i]
 		out = append(out, &SiteSummary{
 			Name:      name,
 			Desc:      g.Desc,
+			Key:       g.Key,
 			Runs:      runs,
 			Count:     g.Count,
 			NeverUsed: g.NeverUsed,
 			Bytes:     g.Bytes,
 			Drag:      g.Drag,
 			InUse:     g.InUse,
-			Pattern:   g.Pattern.String(),
+			Pattern:   g.Pattern(sum.Window).String(),
 		})
 	}
+	SortSites(out, func(s *SiteSummary) int64 { return s.Drag })
 	return out
+}
+
+// SummarizeSites renders one report's nested-site groups as the summaries
+// /sites serves for a workload merged from runs runs, through the
+// additive summary the store merges.
+func SummarizeSites(name string, runs int, rep *drag.Report) []*SiteSummary {
+	return siteRows(name, runs, rep.Summary())
+}
+
+// SortSites orders site summaries by metric descending; ties break by
+// workload name, then site, then chain key, so the order is total.
+func SortSites(sums []*SiteSummary, metric func(*SiteSummary) int64) {
+	sort.Slice(sums, func(i, j int) bool {
+		a, b := sums[i], sums[j]
+		if m, n := metric(a), metric(b); m != n {
+			return m > n
+		}
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		if a.Desc != b.Desc {
+			return a.Desc < b.Desc
+		}
+		return a.Key < b.Key
+	})
 }
 
 // SiteSummaries returns the compacted cross-run site summaries for every
 // workload, compacting first if anything is stale. The result is sorted by
-// drag descending, then name/site ascending for ties.
+// drag descending, then name, site and chain key ascending for ties.
 func (s *Store) SiteSummaries(workers int) ([]*SiteSummary, error) {
 	if s.Dirty() {
 		if err := s.Compact(workers); err != nil {
@@ -234,17 +336,9 @@ func (s *Store) SiteSummaries(workers int) ([]*SiteSummary, error) {
 	s.mu.Lock()
 	var out []*SiteSummary
 	for _, ws := range s.compacted {
-		out = append(out, ws.Sites...)
+		out = append(out, ws.rows...)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Drag != out[j].Drag {
-			return out[i].Drag > out[j].Drag
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Desc < out[j].Desc
-	})
+	SortSites(out, func(s *SiteSummary) int64 { return s.Drag })
 	return out, nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -203,8 +204,8 @@ func TestCompactionSingleFlight(t *testing.T) {
 }
 
 // TestCompactionMergesAcrossChainTables: runs of one build whose chain
-// tables differ (as sampled runs' do) merge; runs whose site tables
-// differ are rejected.
+// tables differ (as sampled runs' do) merge; a run whose site table
+// differs is refused at ingest, and the workload's sites are still served.
 func TestCompactionMergesAcrossChainTables(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -237,11 +238,18 @@ func TestCompactionMergesAcrossChainTables(t *testing.T) {
 	for _, r := range c.Records {
 		r.Site %= 5
 	}
-	if _, err := st.Ingest(bytes.NewReader(encodeLog(t, c)), 2); err != nil {
+	res, err := st.Ingest(bytes.NewReader(encodeLog(t, c)), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.SiteSummaries(2); err == nil || !strings.Contains(err.Error(), "incompatible site tables") {
-		t.Fatalf("mismatched site tables: got %v, want an incompatible-site-tables error", err)
+	if res.Meta != nil || !errors.Is(res.Unmergeable, drag.ErrSiteTables) || !strings.Contains(res.Unmergeable.Error(), "incompatible site tables") {
+		t.Fatalf("mismatched site tables: got %+v, want the run refused with an incompatible-site-tables error", res)
+	}
+	if st.NumRuns() != 2 {
+		t.Fatalf("%d runs stored, want the refused run left out", st.NumRuns())
+	}
+	if _, err := st.SiteSummaries(2); err != nil {
+		t.Fatalf("sites after a refused run: %v", err)
 	}
 }
 

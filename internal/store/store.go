@@ -17,7 +17,11 @@
 //	                        damaged ones)
 //	shards/NNN/runs/<id>.json
 //	                        RunMeta — the commit record, written last
-//	compact/<key>.json      per-workload compacted site summaries
+//	compact/<key>.json      per-workload summary: the merged run ids and,
+//	                        per nested site keyed by chain suffix, the
+//	                        integer totals and exact drag-time moments
+//	                        (drag.Summary), so a new run is added to it
+//	                        without re-reading the others
 //	quarantine/             torn entries moved aside by the recovery scan,
 //	                        each with a <file>.reason.json record
 //
@@ -54,6 +58,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dragprof/internal/drag"
@@ -130,10 +135,19 @@ type IngestResult struct {
 	Duplicate bool
 	// TooLarge marks an upload rejected for exceeding the size limit.
 	TooLarge bool
+	// Unmergeable is set, and nothing stored, when the run cannot merge
+	// with its workload's stored runs (drag.CheckMergeable: another sample
+	// rate or another site table). It wraps ErrUnmergeable.
+	Unmergeable error
 }
 
+// ErrUnmergeable is wrapped by IngestResult.Unmergeable.
+var ErrUnmergeable = errors.New("store: run cannot merge with its workload's stored runs")
+
 // Clean reports a fully-intact ingest.
-func (r *IngestResult) Clean() bool { return r.Salvage == nil && !r.TooLarge }
+func (r *IngestResult) Clean() bool {
+	return r.Salvage == nil && !r.TooLarge && r.Unmergeable == nil
+}
 
 // RunStore is the query-and-ingest surface a dragserved instance needs
 // from a run store. *Store is its one implementation; the server is
@@ -159,9 +173,11 @@ type RunStore interface {
 	Report(id string, opts drag.Options, workers int) (*drag.Report, error)
 	// Ingest stores one uploaded drag log.
 	Ingest(body io.Reader, workers int) (*IngestResult, error)
-	// Compact rebuilds stale cross-run summaries; Dirty reports staleness.
+	// Compact brings stale cross-run summaries up to date; Dirty reports
+	// staleness; CompactionLogsRead counts the logs compaction has read.
 	Compact(workers int) error
 	Dirty() bool
+	CompactionLogsRead() int64
 	// SiteSummaries returns the compacted cross-run site summaries.
 	SiteSummaries(workers int) ([]*SiteSummary, error)
 	// Quarantined lists what recovery scans moved aside, sorted by file.
@@ -189,8 +205,26 @@ type Store struct {
 	dirty map[string]bool
 	// compacted holds the per-workload summaries, keyed by workload name.
 	compacted map[string]*workloadSummary
+	// runSums holds, by workload and run id, the summary of every run
+	// this process committed since its workload's last compaction, so the
+	// compactor adds it without reading its log.
+	runSums map[string]map[string]*drag.Summary
+	// shapes holds the shape (drag.CheckMergeable's sample rate and
+	// site-table size) of every workload with a stored or committing run.
+	shapes map[string]*workloadShape
 	// quarantined records what the recovery scan moved aside.
 	quarantined []QuarantineReason
+
+	// logsRead counts the logs compaction folded.
+	logsRead atomic.Int64
+}
+
+// workloadShape is a workload's shape and the number of its commits in
+// flight; a workload with no stored run keeps its shape only while such a
+// commit is.
+type workloadShape struct {
+	drag.Shape
+	committing int
 }
 
 // Sharded is an alias of Store for callers that name the store by its
@@ -239,6 +273,8 @@ func OpenShardedFS(dir string, n int, fsys FS) (*Store, error) {
 		fs:        fsys,
 		dirty:     make(map[string]bool),
 		compacted: make(map[string]*workloadSummary),
+		runSums:   make(map[string]map[string]*drag.Summary),
+		shapes:    make(map[string]*workloadShape),
 	}
 	for _, sub := range []string{"tmp", "compact", "quarantine", "shards"} {
 		if err := fsys.MkdirAll(filepath.Join(dir, sub)); err != nil {
@@ -259,10 +295,10 @@ func OpenShardedFS(dir string, n int, fsys FS) (*Store, error) {
 	if err := s.recoverLocked(); err != nil {
 		return nil, err
 	}
-	// Any workload whose compacted summary is missing or no longer covers
-	// its run set needs recompaction — including a workload whose runs
-	// were all quarantined, whose old summary would otherwise go on
-	// being served.
+	// Any workload whose compacted summary is missing, has no moments or
+	// no longer covers its run set needs recompaction — including a
+	// workload whose runs were all quarantined, whose old summary would
+	// otherwise go on being served.
 	names := make(map[string]bool)
 	for _, sh := range s.shards {
 		for _, m := range sh.runs {
@@ -273,12 +309,43 @@ func OpenShardedFS(dir string, n int, fsys FS) (*Store, error) {
 		names[name] = true
 	}
 	for name := range names {
+		ids := s.runIDs(name)
 		sum := s.compacted[name]
-		if sum == nil || !sameRunSet(sum.Runs, s.runIDs(name)) {
+		if sum == nil || sum.Version != summaryVersion || !sameRunSet(sum.Runs, ids) {
 			s.dirty[name] = true
 		}
+		if len(ids) == 0 {
+			continue
+		}
+		// Every stored run was checked against the workload's shape when
+		// it was ingested, so the summary's shape, or any one run's, is
+		// the workload's.
+		if sum != nil && sum.additive() {
+			s.shapes[name] = &workloadShape{Shape: sum.Shape}
+			continue
+		}
+		shape, err := s.logShape(ids[0])
+		if err != nil {
+			return nil, err
+		}
+		s.shapes[name] = &workloadShape{Shape: shape}
 	}
 	return s, nil
+}
+
+// logShape reads a stored run's header and tables, not its records, for
+// its shape.
+func (s *Store) logShape(id string) (drag.Shape, error) {
+	f, err := os.Open(s.home(id).path(id, ".log"))
+	if err != nil {
+		return drag.Shape{}, fmt.Errorf("store: %w", err)
+	}
+	defer f.Close()
+	stream, err := profile.OpenLogStream(f)
+	if err != nil {
+		return drag.Shape{}, fmt.Errorf("store: run %s: %w", id, err)
+	}
+	return drag.ShapeOf(stream.Profile()), nil
 }
 
 // loadOrInitConfig reads sharding.json, creating it durably on first open.
@@ -500,13 +567,17 @@ func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
 	if err := tmp.Close(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	dup, err := s.commit(meta, tmpName)
+	rep := acc.Report()
+	dup, err := s.commit(meta, tmpName, rep.Summary())
+	if errors.Is(err, ErrUnmergeable) {
+		return &IngestResult{Unmergeable: err}, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	res := &IngestResult{Meta: meta, Duplicate: dup}
 	if !dup {
-		res.Report = acc.Report()
+		res.Report = rep
 	}
 	return res, nil
 }
@@ -564,29 +635,57 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	if err := enc.Close(); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	dup, err := s.commit(meta, encName)
+	rep := drag.AnalyzeParallel(p, drag.Options{}, workers)
+	dup, err := s.commit(meta, encName, rep.Summary())
+	if errors.Is(err, ErrUnmergeable) {
+		return &IngestResult{Salvage: sr, Unmergeable: err}, nil
+	}
 	if err != nil {
 		return nil, err
 	}
 	res := &IngestResult{Meta: meta, Salvage: sr, Duplicate: dup}
 	if !dup {
-		res.Report = drag.AnalyzeParallel(p, drag.Options{}, workers)
+		res.Report = rep
 	}
 	return res, nil
 }
 
 // commit moves a fsynced spool into the home shard of the run's id and,
-// unless the id was already stored, counts the run into the totals and
-// marks its workload stale.
-func (s *Store) commit(meta *RunMeta, spoolPath string) (duplicate bool, err error) {
+// unless the id was already stored, counts the run into the totals, marks
+// its workload stale and keeps the run's summary sum for the compactor.
+// A run whose shape does not match its workload's is not committed: the
+// error wraps ErrUnmergeable. The shape is checked and claimed under s.mu
+// before the shard commit, so of two concurrent first uploads of a
+// workload with different shapes one is refused.
+func (s *Store) commit(meta *RunMeta, spoolPath string, sum *drag.Summary) (duplicate bool, err error) {
+	s.mu.Lock()
+	ws := s.shapes[meta.Name]
+	if ws == nil {
+		ws = &workloadShape{Shape: sum.Shape}
+		s.shapes[meta.Name] = ws
+	} else if err := drag.CheckShapes(ws.Shape, sum.Shape); err != nil {
+		s.mu.Unlock()
+		return false, fmt.Errorf("%w (workload %q): %w", ErrUnmergeable, meta.Name, err)
+	}
+	ws.committing++
+	s.mu.Unlock()
+
 	dup, err := s.home(meta.ID).commit(meta, spoolPath)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ws.committing--
 	if err != nil || dup {
+		if ws.committing == 0 && len(s.runIDs(meta.Name)) == 0 {
+			delete(s.shapes, meta.Name)
+		}
 		return dup, err
 	}
-	s.mu.Lock()
 	s.addLocked(meta)
 	s.dirty[meta.Name] = true
-	s.mu.Unlock()
+	if s.runSums[meta.Name] == nil {
+		s.runSums[meta.Name] = make(map[string]*drag.Summary)
+	}
+	s.runSums[meta.Name][meta.ID] = sum
 	return false, nil
 }
 
