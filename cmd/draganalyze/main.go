@@ -3,9 +3,10 @@
 // by their potential space saving, each classified against the paper's
 // lifetime patterns with the suggested rewrite.
 //
-// The log format (text v2 or binary v4, gzipped or not) is auto-detected;
-// site aggregation fans out over GOMAXPROCS workers by default (-workers)
-// and is byte-identical at every worker count. -salvage analyzes as much
+// The log is binary v4, gzipped or not; input without its magic, such as
+// the text logs of earlier builds, is refused. Site aggregation fans out
+// over GOMAXPROCS workers by default (-workers) and is byte-identical at
+// every worker count. -salvage analyzes as much
 // of a truncated or corrupted log as its checksums vouch for, flagging the
 // output as partial data; -format selects text, json or sarif reports, or
 // canonical — the exact-hex-float report dump that dragserved serves for

@@ -84,6 +84,12 @@ func TestRunExitCodes(t *testing.T) {
 	if err := os.WriteFile(truncated, data[:len(data)*2/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A complete log in the text format (v2) that earlier builds wrote.
+	textLog := filepath.Join(dir, "text.log")
+	if err := os.WriteFile(textLog, []byte("dragprof-log 2\nname \"t\"\nfinalclock 100\ngcinterval 102400\n"+
+		"classes 0\nmethods 0\nfiles 0\nsites 0\nchains 0\nrecords 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
@@ -102,6 +108,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"sampled with exact", []string{s1, exact}, cli.ExitUsage, "", "mixing sampled and exact"},
 		{"missing file", []string{filepath.Join(dir, "absent.dplg")}, cli.ExitFailure, "", "no such file"},
 		{"damaged log", []string{truncated}, cli.ExitFailure, "", "-salvage recovers"},
+		{"text log", []string{textLog}, cli.ExitFailure, "", "not a dragprof binary log"},
 		{"different site tables", []string{exact, jess}, cli.ExitFailure, "", "site tables differ"},
 		{"salvaged log", []string{"-salvage", truncated}, cli.ExitSalvaged, "WARNING: partial data", ""},
 	}

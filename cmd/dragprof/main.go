@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	dragprof [-o drag.log] [-format binary|text] [-interval bytes]
+//	dragprof [-o drag.log] [-compress=false] [-interval bytes]
 //	         [-heap bytes] [-max-alloc bytes] [-max-live bytes]
 //	         [-timeout duration] [-sample-rate p] [-sample-seed n]
 //	         [-bench name] [-push URL]
@@ -56,8 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dragprof", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	out := fs.String("o", "drag.log", "drag log output path")
-	format := fs.String("format", "binary", "log format: binary (v4, compact) or text (v2, line-oriented)")
-	compress := fs.Bool("compress", true, "gzip the binary log body (ignored for -format text)")
+	compress := fs.Bool("compress", true, "gzip the log body")
 	interval := fs.Int64("interval", 100<<10, "deep-GC interval in allocated bytes (the paper's 100 KB)")
 	heap := fs.Int64("heap", 48<<20, "heap capacity in bytes")
 	collector := fs.String("gc", "mark-sweep", "collector: mark-sweep, mark-compact or generational")
@@ -76,10 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return cli.ExitOK
 		}
-		return cli.ExitUsage
-	}
-	if *format != "binary" && *format != "text" {
-		fmt.Fprintf(stderr, "dragprof: unknown -format %q (want binary or text)\n", *format)
 		return cli.ExitUsage
 	}
 	if !(*sampleRate > 0 && *sampleRate <= 1) {
@@ -149,19 +144,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err, cli.ExitFailure)
 	}
-	if *format == "binary" {
-		err = prof.WriteBinaryLog(f, *compress)
-	} else {
-		err = prof.WriteLog(f)
-	}
+	err = prof.WriteBinaryLog(f, *compress)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return fail(stderr, err, cli.ExitFailure)
 	}
-	fmt.Fprintf(stderr, "dragprof: %d objects, %.2f MB allocated, %s log written to %s\n",
-		prof.NumObjects(), float64(prof.TotalAllocationBytes())/(1<<20), *format, *out)
+	fmt.Fprintf(stderr, "dragprof: %d objects, %.2f MB allocated, log written to %s\n",
+		prof.NumObjects(), float64(prof.TotalAllocationBytes())/(1<<20), *out)
 
 	if *push != "" {
 		if pushCode := pushLog(stderr, *push, *out, *tenantToken, *pushRetries, *pushTimeout, *pushMaxElapsed); pushCode != cli.ExitOK {

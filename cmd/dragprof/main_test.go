@@ -71,7 +71,7 @@ func TestRunExitCodes(t *testing.T) {
 		log     bool // the run writes a log
 	}{
 		{"bench run", []string{"-bench", "jess"}, cli.ExitOK, "", "log written to", true},
-		{"unknown format", []string{"-format", "xml", "-bench", "jess"}, cli.ExitUsage, "", `unknown -format "xml"`, false},
+		{"unknown format", []string{"-format", "xml", "-bench", "jess"}, cli.ExitUsage, "", "flag provided but not defined: -format", false},
 		{"source fails to compile", []string{broken}, cli.ExitCompile, "", "dragprof:", false},
 		{"uncaught exception", []string{throws}, cli.ExitRuntime, "before\n", "RuntimeException: boom", true},
 		{"allocation budget", []string{"-max-alloc", "100000", allocs}, cli.ExitBudget, "", "alloc-bytes budget exhausted", true},

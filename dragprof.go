@@ -226,20 +226,15 @@ func (pr *Profile) NumObjects() int { return len(pr.p.Records) }
 // recorded at (1 for exact profiles).
 func (pr *Profile) SampleRate() float64 { return pr.p.EffectiveSampleRate() }
 
-// WriteLog serializes the profile in the tool's versioned text log format
-// (the file interface between phase 1 and phase 2).
-func (pr *Profile) WriteLog(w io.Writer) error { return profile.WriteLog(w, pr.p) }
-
-// WriteBinaryLog serializes the profile in the compact binary v4 log
-// format (record blocks of a shape and a time section; compress gzips
-// the body). Binary
-// and text logs are interchangeable: ReadLog auto-detects both.
+// WriteBinaryLog serializes the profile in the binary v4 log format, the
+// file interface between phase 1 and phase 2: record blocks of a shape and
+// a time section, each with a CRC32C footer; compress gzips the body.
 func (pr *Profile) WriteBinaryLog(w io.Writer, compress bool) error {
 	return profile.WriteBinaryLog(w, pr.p, profile.BinaryOptions{Compress: compress})
 }
 
-// ReadLog parses a profile log written by WriteLog or WriteBinaryLog; the
-// format is auto-detected.
+// ReadLog parses a profile log written by WriteBinaryLog. Input without
+// the binary log's magic is refused.
 func ReadLog(r io.Reader) (*Profile, error) {
 	p, err := profile.ReadLog(r)
 	if err != nil {

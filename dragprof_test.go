@@ -85,7 +85,7 @@ func TestFacadeLogRoundTrip(t *testing.T) {
 		t.Fatalf("profile: %v", err)
 	}
 	var buf strings.Builder
-	if err := prof.WriteLog(&buf); err != nil {
+	if err := prof.WriteBinaryLog(&buf, true); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	back, err := dragprof.ReadLog(strings.NewReader(buf.String()))

@@ -9,10 +9,11 @@ import (
 	"dragprof/internal/profile"
 )
 
-// The differential battery: for every embedded workload the (serial, text)
-// reference pipeline and the (parallel, binary) fast pipeline must agree
+// The differential battery: for every embedded workload the reference
+// pipeline (serial analysis of the profile the VM produced) and the fast
+// pipeline (parallel analysis streamed from the log) must agree
 // byte-for-byte on site reports, curves and integrals — the classic
-// correctness argument for swapping a profiler's recording format.
+// correctness argument for a profiler's recording format.
 
 // diffResults caches one profiled run per workload for the differential
 // and golden tests (the runs themselves are covered elsewhere).
@@ -46,40 +47,31 @@ func TestDifferentialPipelines(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := diffProfile(t, name)
 
-			var text, bin, gz bytes.Buffer
-			if err := profile.WriteLog(&text, p); err != nil {
-				t.Fatal(err)
-			}
+			var bin, gz bytes.Buffer
 			if err := profile.WriteBinaryLog(&bin, p, profile.BinaryOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if err := profile.WriteBinaryLog(&gz, p, profile.BinaryOptions{Compress: true}); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%s: text=%d raw-binary=%d (%.2fx) gzip-binary=%d (%.2fx)",
-				name, text.Len(), bin.Len(), float64(text.Len())/float64(bin.Len()),
-				gz.Len(), float64(text.Len())/float64(gz.Len()))
-			// The acceptance bar: the default binary log is >= 3x smaller
-			// than text on every workload.
-			if gz.Len()*3 > text.Len() {
-				t.Errorf("binary log %d bytes not 3x smaller than text %d bytes", gz.Len(), text.Len())
-			}
+			t.Logf("%s: raw=%d gzip=%d (%.2fx)",
+				name, bin.Len(), gz.Len(), float64(bin.Len())/float64(gz.Len()))
 
-			// Both readers must reconstruct the identical profile.
-			fromText, err := profile.ReadLog(bytes.NewReader(text.Bytes()))
+			// Both encodings must reconstruct the profile the VM produced.
+			fromRaw, err := profile.ReadLog(bytes.NewReader(bin.Bytes()))
 			if err != nil {
-				t.Fatalf("text read: %v", err)
+				t.Fatalf("raw read: %v", err)
 			}
 			fromBin, err := profile.ReadLog(bytes.NewReader(gz.Bytes()))
 			if err != nil {
-				t.Fatalf("binary read: %v", err)
+				t.Fatalf("gzip read: %v", err)
 			}
-			if !reflect.DeepEqual(fromText, fromBin) {
-				t.Fatal("text and binary round trips disagree at the field level")
+			if !reflect.DeepEqual(p, fromRaw) || !reflect.DeepEqual(p, fromBin) {
+				t.Fatal("log round trip differs from the profiled run at the field level")
 			}
 
-			// Reference pipeline: serial analysis of the text round trip.
-			serial := drag.Analyze(fromText, drag.Options{})
+			// Reference pipeline: serial analysis of the profiled run.
+			serial := drag.Analyze(p, drag.Options{})
 			want := serial.CanonicalDump()
 
 			// Fast pipeline: streamed parallel analysis of the binary log,
@@ -91,7 +83,7 @@ func TestDifferentialPipelines(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := parallel.CanonicalDump(); !bytes.Equal(want, got) {
-					t.Errorf("(parallel, binary) site report at %d workers differs from (serial, text)", workers)
+					t.Errorf("streamed site report at %d workers differs from the serial reference", workers)
 				}
 				// And the in-memory parallel aggregator agrees too.
 				if got := drag.AnalyzeParallel(fromBin, drag.Options{}, workers).CanonicalDump(); !bytes.Equal(want, got) {
@@ -108,10 +100,10 @@ func TestDifferentialPipelines(t *testing.T) {
 					serial.ReachableIntegral, serial.InUseIntegral, serial.TotalDrag,
 					parallel.ReachableIntegral, parallel.InUseIntegral, parallel.TotalDrag)
 			}
-			ctext := drag.BuildCurve(fromText, 512)
+			cwant := drag.BuildCurve(p, 512)
 			cbin := drag.BuildCurve(fromBin, 512)
-			if !reflect.DeepEqual(ctext, cbin) {
-				t.Error("reachable/in-use curves differ between format round trips")
+			if !reflect.DeepEqual(cwant, cbin) {
+				t.Error("reachable/in-use curves differ after the log round trip")
 			}
 		})
 	}

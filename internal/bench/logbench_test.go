@@ -42,12 +42,11 @@ func logBenchProfiles(b *testing.B) []logBenchProfile {
 	return []logBenchProfile{{"", benchProfile(b)}, {"sampled-", sampled.Profile}}
 }
 
-// logEncodings are the three ways a log is written.
+// logEncodings are the two ways a log is written.
 var logEncodings = []struct {
 	name  string
 	write func(w io.Writer, p *profile.Profile) error
 }{
-	{"text", profile.WriteLog},
 	{"binary", func(w io.Writer, p *profile.Profile) error {
 		return profile.WriteBinaryLog(w, p, profile.BinaryOptions{})
 	}},

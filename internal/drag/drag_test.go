@@ -1,6 +1,7 @@
 package drag_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,15 +197,15 @@ class Main {
 func TestLogRoundTrip(t *testing.T) {
 	p := profileSrc(t, draggyProgram)
 	var buf strings.Builder
-	if err := profile.WriteLog(&buf, p); err != nil {
+	if err := profile.WriteBinaryLog(&buf, p, profile.BinaryOptions{Compress: true}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	back, err := profile.ReadLog(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if len(back.Records) != len(p.Records) {
-		t.Fatalf("record count %d != %d", len(back.Records), len(p.Records))
+	if !reflect.DeepEqual(back, p) {
+		t.Fatal("read-back differs from the profiled run")
 	}
 	a := drag.Analyze(p, drag.Options{})
 	b := drag.Analyze(back, drag.Options{})

@@ -164,7 +164,7 @@ func AnalyzeParallel(p *profile.Profile, opts Options, workers int) *Report {
 	return Fold(p, opts, workers).Report()
 }
 
-// AnalyzeLog streams a drag log (either format, auto-detected) through
+// AnalyzeLog streams a drag log (raw or gzipped) through
 // FoldLog and returns its report, byte-identical to Analyze's over the
 // same records.
 func AnalyzeLog(r io.Reader, opts Options, workers int) (*Report, error) {

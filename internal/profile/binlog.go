@@ -9,9 +9,10 @@ import (
 	"math"
 )
 
-// Binary drag-log format v4. The text format (log.go) is the paper's
-// human-inspectable interface; v4 is the compact machine interface the
-// parallel analyzer reads. Layout:
+// Drag-log format v4, the file interface between the tool's two phases:
+// the instrumented VM writes it as objects are reclaimed, and the offline
+// analyzer reads it back. draganalyze -format canonical is its
+// human-readable view. Layout:
 //
 //	magic    "dplg" (4 bytes)
 //	version  1 byte (4)

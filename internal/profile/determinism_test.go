@@ -44,7 +44,7 @@ func TestProfileDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf strings.Builder
-		if err := profile.WriteLog(&buf, p); err != nil {
+		if err := profile.WriteBinaryLog(&buf, p, profile.BinaryOptions{Compress: true}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

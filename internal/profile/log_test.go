@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -37,36 +40,53 @@ func sampleProfile() *Profile {
 	}
 }
 
+// textLog is a complete log in the line-oriented text format (v2) that
+// earlier builds wrote. It carries no checksum, and no reader accepts it.
+const textLog = `dragprof-log 2
+name "x"
+finalclock 900
+gcinterval 102400
+classes 1
+"Object"
+methods 1
+"Main.main"
+files 1
+"main.mj"
+sites 1
+0 3 "Object" "Main.main:3 (new Object)"
+chains 1
+-1 0 3
+records 1
+1 0 0 16 0 0 100 200 0 1 2 900 0
+`
+
 func TestLogRoundTripExact(t *testing.T) {
 	p := sampleProfile()
-	var buf strings.Builder
-	if err := WriteLog(&buf, p); err != nil {
+	var buf bytes.Buffer
+	if err := WriteBinaryLog(&buf, p, BinaryOptions{}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	q, err := ReadLog(strings.NewReader(buf.String()))
+	q, err := ReadLog(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	if q.Name != p.Name || q.FinalClock != p.FinalClock || q.GCInterval != p.GCInterval {
 		t.Errorf("header mismatch: %+v", q)
 	}
-	if len(q.ClassNames) != 2 || q.ClassNames[1] != p.ClassNames[1] {
+	if !reflect.DeepEqual(q.ClassNames, p.ClassNames) {
 		t.Errorf("classes: %q", q.ClassNames)
 	}
-	if len(q.MethodNames) != 2 || q.MethodNames[1] != p.MethodNames[1] {
+	if !reflect.DeepEqual(q.MethodNames, p.MethodNames) {
 		t.Errorf("methods: %q", q.MethodNames)
 	}
-	if len(q.Sites) != 2 || q.Sites[0].Desc != p.Sites[0].Desc || q.Sites[0].Line != 12 {
+	if !reflect.DeepEqual(q.Sites, p.Sites) {
 		t.Errorf("sites: %+v", q.Sites)
 	}
-	if len(q.ChainNodes) != 2 || q.ChainNodes[1] != p.ChainNodes[1] {
+	if !reflect.DeepEqual(q.ChainNodes, p.ChainNodes) {
 		t.Errorf("chains: %+v", q.ChainNodes)
 	}
-	if len(q.Records) != 2 {
-		t.Fatalf("records: %d", len(q.Records))
-	}
-	if *q.Records[0] != *p.Records[0] || *q.Records[1] != *p.Records[1] {
-		t.Errorf("records differ:\n%+v\n%+v", *q.Records[0], *p.Records[0])
+	if !reflect.DeepEqual(q.Records, p.Records) {
+		t.Errorf("records differ:\n%+v\n%+v", q.Records, p.Records)
 	}
 }
 
@@ -88,11 +108,11 @@ func TestLogRecordRoundTripProperty(t *testing.T) {
 		}
 		p := &Profile{Name: "q", Records: []*Record{r},
 			Sites: []bytecode.Site{{ID: 0, Desc: "d", What: "w"}}}
-		var buf strings.Builder
-		if err := WriteLog(&buf, p); err != nil {
+		var buf bytes.Buffer
+		if err := WriteBinaryLog(&buf, p, BinaryOptions{Compress: flags&8 != 0}); err != nil {
 			return false
 		}
-		q, err := ReadLog(strings.NewReader(buf.String()))
+		q, err := ReadLog(bytes.NewReader(buf.Bytes()))
 		if err != nil || len(q.Records) != 1 {
 			return false
 		}
@@ -103,63 +123,76 @@ func TestLogRecordRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestReadLogRejectsGarbage: input that is not a binary log fails both
+// the strict reader and salvage; a text log is named as not binary.
 func TestReadLogRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"",
 		"not a log\n",
 		"dragprof-log 99\n",
 		"dragprof-log 1\nname \"x\"\nfinalclock notanumber\n",
+		textLog,
 	}
 	for _, src := range cases {
-		if _, err := ReadLog(strings.NewReader(src)); err == nil {
+		_, err := ReadLog(strings.NewReader(src))
+		if err == nil {
 			t.Errorf("no error for %q", src)
+		}
+		if strings.HasPrefix(src, "dragprof-log") && !strings.Contains(err.Error(), "not a dragprof binary log") {
+			t.Errorf("text input %q: err = %v", src, err)
+		}
+		if _, _, err := SalvageLog(strings.NewReader(src)); err == nil {
+			t.Errorf("salvage: no error for %q", src)
 		}
 	}
 }
 
-// TestReadLogTruncatedRecords: a `records <n>` count larger than the lines
-// present must fail with a counted-mismatch error naming both numbers, not
-// a bare EOF.
+// TestReadLogTruncatedRecords: a log whose blocks hold fewer records than
+// it declares fails with a located error that counts the records decoded,
+// not a bare EOF.
 func TestReadLogTruncatedRecords(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteLog(&buf, sampleProfile()); err != nil {
+	var buf bytes.Buffer
+	if err := WriteBinaryLog(&buf, sampleProfile(), BinaryOptions{BlockRecords: 1}); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.String()
-	lines := strings.Split(strings.TrimSuffix(full, "\n"), "\n")
-
-	// Drop the last record line: the log still declares 2 records.
-	truncated := strings.Join(lines[:len(lines)-1], "\n") + "\n"
-	_, err := ReadLog(strings.NewReader(truncated))
-	if err == nil {
-		t.Fatal("truncated record section accepted")
+	full := buf.Bytes()
+	ends, err := BlockOffsets(full)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "declares 2 records, found 1") {
-		t.Errorf("want counted-mismatch error, got: %v", err)
-	}
-
-	// Drop both record lines.
-	noRecords := strings.Join(lines[:len(lines)-2], "\n") + "\n"
-	_, err = ReadLog(strings.NewReader(noRecords))
-	if err == nil || !strings.Contains(err.Error(), "declares 2 records, found 0") {
-		t.Errorf("want counted-mismatch error, got: %v", err)
+	// Each cut ends before the second block does, while the tables still
+	// declare 2 records.
+	for _, tc := range []struct {
+		cut     int64
+		decoded int
+	}{{ends[0], 1}, {ends[1] - 1, 1}, {ends[0] - 1, 0}} {
+		_, err := ReadLog(bytes.NewReader(full[:tc.cut]))
+		var ce *CorruptLogError
+		if !errors.As(err, &ce) {
+			t.Fatalf("cut at %d: err = %v, want *CorruptLogError", tc.cut, err)
+		}
+		if ce.Records != tc.decoded || ce.Block != tc.decoded {
+			t.Errorf("cut at %d: %d records decoded before block %d, want %d before block %d",
+				tc.cut, ce.Records, ce.Block, tc.decoded, tc.decoded)
+		}
 	}
 }
 
-// TestReadLogRejectsGarbageSuffix: extra non-blank lines after the declared
-// record count must be an error, not silently ignored.
+// TestReadLogRejectsGarbageSuffix: bytes after the last record block are
+// an error, not silently ignored, in raw and gzipped logs alike; a v4 log
+// has no slack for even a trailing newline.
 func TestReadLogRejectsGarbageSuffix(t *testing.T) {
-	var buf strings.Builder
-	if err := WriteLog(&buf, sampleProfile()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadLog(strings.NewReader(buf.String() + "1 2 3 4 5 6 7 8 9 10 11 12 13\n"))
-	if err == nil || !strings.Contains(err.Error(), "trailing garbage") {
-		t.Errorf("garbage suffix: err = %v", err)
-	}
-	// Trailing blank lines stay harmless.
-	if _, err := ReadLog(strings.NewReader(buf.String() + "\n\n")); err != nil {
-		t.Errorf("blank suffix rejected: %v", err)
+	for _, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteBinaryLog(&buf, sampleProfile(), BinaryOptions{Compress: compress}); err != nil {
+			t.Fatal(err)
+		}
+		for _, suffix := range []string{"1 2 3 4 5 6 7 8 9 10 11 12 13\n", "\n\n"} {
+			_, err := ReadLog(bytes.NewReader(append(buf.Bytes(), suffix...)))
+			if err == nil || !strings.Contains(err.Error(), "trailing") {
+				t.Errorf("compress=%v suffix %q: err = %v", compress, suffix, err)
+			}
+		}
 	}
 }
 

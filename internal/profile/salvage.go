@@ -12,9 +12,7 @@ import (
 // log. It marshals to JSON for archival (the CI fault-injection job stores
 // one per injected fault).
 type SalvageReport struct {
-	// Format is the detected log format: "binary" or "text".
-	Format string `json:"format"`
-	// Compressed reports a gzipped binary body.
+	// Compressed reports a gzipped body.
 	Compressed bool `json:"compressed"`
 	// Truncated is true when the log yielded fewer records than it
 	// declares (the salvage stopped at a fault).
@@ -45,10 +43,10 @@ func (sr *SalvageReport) Clean() bool { return !sr.Truncated && sr.Reason == "" 
 // Summary renders a one-line human-readable digest.
 func (sr *SalvageReport) Summary() string {
 	if sr.Clean() {
-		return fmt.Sprintf("clean %s log: %d records in %d blocks", sr.Format, sr.RecordsRecovered, sr.BlocksRecovered)
+		return fmt.Sprintf("clean log: %d records in %d blocks", sr.RecordsRecovered, sr.BlocksRecovered)
 	}
-	return fmt.Sprintf("partial %s log: recovered %d of %d records (%d of %d blocks); first fault at byte %d: %s",
-		sr.Format, sr.RecordsRecovered, sr.RecordsDeclared,
+	return fmt.Sprintf("partial log: recovered %d of %d records (%d of %d blocks); first fault at byte %d: %s",
+		sr.RecordsRecovered, sr.RecordsDeclared,
 		sr.BlocksRecovered, sr.BlocksRecovered+sr.BlocksDropped, sr.FirstBadOffset, sr.Reason)
 }
 
@@ -67,7 +65,6 @@ func SalvageLog(r io.Reader) (*Profile, *SalvageReport, error) {
 		sr.noteFault(err)
 		return nil, sr, err
 	}
-	sr.Format = s.Format()
 	sr.Compressed = s.Compressed()
 	sr.RecordsDeclared = s.TotalRecords()
 	p := s.Profile()
@@ -108,22 +105,18 @@ func (sr *SalvageReport) noteFault(err error) {
 	sr.Reason = err.Error()
 }
 
-// BlockOffsets reports, for an uncompressed binary log, the absolute file
+// BlockOffsets reports, for an uncompressed log, the absolute file
 // offset at which each record block ends — the truncation points that
 // preserve complete prefixes. offsets[k] is the first byte past block k's
 // checksum footer; a log truncated at offsets[k] salvages exactly blocks
 // 0..k. The fault-injection harness drives its truncation matrix off this.
 func BlockOffsets(data []byte) ([]int64, error) {
-	br := bufio.NewReaderSize(bytes.NewReader(data), 1<<16)
-	if peek, err := br.Peek(len(binMagic)); err != nil || !bytes.Equal(peek, binMagic[:]) {
-		return nil, fmt.Errorf("profile: BlockOffsets requires a binary log")
-	}
-	s, d, err := openBinaryReader(br)
+	s, d, err := openBinaryReader(bufio.NewReaderSize(bytes.NewReader(data), 1<<16))
 	if err != nil {
 		return nil, err
 	}
 	if d.compressed {
-		return nil, fmt.Errorf("profile: BlockOffsets requires an uncompressed binary log")
+		return nil, fmt.Errorf("profile: BlockOffsets requires an uncompressed log")
 	}
 	var ends []int64
 	for {

@@ -30,7 +30,6 @@ func TestSalvageCleanLogs(t *testing.T) {
 		{"binary-gzip", func(b *bytes.Buffer) error {
 			return WriteBinaryLog(b, p, BinaryOptions{BlockRecords: 256, Compress: true})
 		}},
-		{"text", func(b *bytes.Buffer) error { return WriteLog(b, p) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -178,32 +177,6 @@ func TestSalvageDamagedHeader(t *testing.T) {
 	}
 }
 
-// TestSalvageTextTruncation: text logs salvage whole preceding lines.
-func TestSalvageTextTruncation(t *testing.T) {
-	p := manyRecordProfile(1000, 0)
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	cut := len(data) * 2 / 3
-	q, sr, err := SalvageLog(bytes.NewReader(data[:cut]))
-	if err != nil {
-		t.Fatalf("salvage: %v", err)
-	}
-	if sr.Format != "text" || !sr.Truncated {
-		t.Errorf("report = %+v", sr)
-	}
-	if len(q.Records) == 0 || len(q.Records) >= len(p.Records) {
-		t.Fatalf("salvaged %d of %d records", len(q.Records), len(p.Records))
-	}
-	for i := range q.Records {
-		if *q.Records[i] != *p.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-}
-
 // TestCorruptLogErrorDetail: strict ReadLog failures carry the byte offset
 // and block index of the fault.
 func TestCorruptLogErrorDetail(t *testing.T) {
@@ -229,27 +202,6 @@ func TestCorruptLogErrorDetail(t *testing.T) {
 	}
 	if !strings.Contains(rerr.Error(), "byte offset") || !strings.Contains(rerr.Error(), "block 3") {
 		t.Errorf("error message lacks offset/block detail: %v", rerr)
-	}
-}
-
-// TestCorruptTextLogErrorDetail: text-log faults carry offsets too.
-func TestCorruptTextLogErrorDetail(t *testing.T) {
-	p := manyRecordProfile(100, 0)
-	var buf bytes.Buffer
-	if err := WriteLog(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	_, rerr := ReadLog(bytes.NewReader(data[:len(data)-20]))
-	if rerr == nil {
-		t.Fatal("truncated text log read succeeded")
-	}
-	var ce *CorruptLogError
-	if !errors.As(rerr, &ce) {
-		t.Fatalf("error is %T, not *CorruptLogError: %v", rerr, rerr)
-	}
-	if ce.Offset <= 0 {
-		t.Errorf("fault offset = %d, want positive", ce.Offset)
 	}
 }
 

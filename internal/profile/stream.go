@@ -5,11 +5,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
-	"strings"
 
 	"dragprof/internal/bytecode"
 	"dragprof/internal/vm"
@@ -22,10 +22,9 @@ import (
 // SalvageReport.
 type CorruptLogError struct {
 	// Offset is the byte offset of the failure. For raw (uncompressed)
-	// binary logs and text logs this is the absolute file offset; for
-	// gzipped binary logs it is the offset into the decompressed body
-	// (the compressed file offset of a fault inside a deflate stream is
-	// not recoverable).
+	// logs this is the absolute file offset; for gzipped logs it is the
+	// offset into the decompressed body (the compressed file offset of a
+	// fault inside a deflate stream is not recoverable).
 	Offset int64
 	// Block is the record-block index the failure occurred in, or -1 when
 	// the header or tables failed before the record section.
@@ -50,7 +49,7 @@ func (e *CorruptLogError) Error() string {
 
 func (e *CorruptLogError) Unwrap() error { return e.Err }
 
-// LogStream is the streaming, format-agnostic reader over a drag log: the
+// LogStream is the streaming reader over a binary v4 drag log: the
 // header and tables are parsed eagerly, the record section is surfaced as
 // a sequence of blocks whose decoding the caller may fan out over CPUs.
 // Nothing materializes the full record slice unless the caller collects it.
@@ -59,7 +58,6 @@ type LogStream struct {
 	total       int
 	blocks      int
 	idx         int
-	format      string
 	compressed  bool
 	checkpoints int
 	next        func() (*Block, error)
@@ -74,9 +72,6 @@ func (s *LogStream) TotalRecords() int { return s.total }
 
 // TotalBlocks is the record-block count the log declares.
 func (s *LogStream) TotalBlocks() int { return s.blocks }
-
-// Format names the detected log format: "binary" or "text".
-func (s *LogStream) Format() string { return s.format }
 
 // Compressed reports whether the binary body is gzipped.
 func (s *LogStream) Compressed() bool { return s.compressed }
@@ -102,17 +97,15 @@ type Block struct {
 // Decode parses the block's records.
 func (b *Block) Decode() ([]*Record, error) { return b.decode() }
 
-// OpenLogStream auto-detects the log format (binary v4 magic vs text
-// header) and returns a streaming reader.
+// OpenLogStream checks a binary v4 log's header, parses its tables and
+// returns a streaming reader over its record blocks. Any input without the
+// binary magic is refused.
 func OpenLogStream(r io.Reader) (*LogStream, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if peek, err := br.Peek(len(binMagic)); err == nil && bytes.Equal(peek, binMagic[:]) {
-		return openBinaryStream(br)
-	}
-	return openTextStream(br)
+	s, _, err := openBinaryReader(bufio.NewReaderSize(r, 1<<16))
+	return s, err
 }
 
-// ReadLog parses a complete profile from either log format, auto-detected.
+// ReadLog parses a complete profile from a binary v4 log.
 // Failures in the record section are reported as *CorruptLogError carrying
 // the byte offset and block index of the fault; SalvageLog recovers the
 // intact prefix instead of failing.
@@ -137,8 +130,6 @@ func ReadLog(r io.Reader) (*Profile, error) {
 		p.Records = append(p.Records, recs...)
 	}
 }
-
-// ---- binary stream ----
 
 type binReader struct {
 	r *bufio.Reader
@@ -277,13 +268,13 @@ func corruptAt(offset int64, block, records int, cause error, format string, arg
 // version byte and the flags byte.
 const HeaderBytes = len(binMagic) + 2
 
-// CheckHeader returns the error the reader gives a binary log that starts
-// with head, judging its magic, version and flags alone, or nil when the
-// reader accepts them. A log without the binary magic is a text log, whose
-// header the text reader checks line by line; CheckHeader passes it.
+// CheckHeader returns the error the reader gives a log that starts with
+// head, judging its magic, version and flags alone, or nil when the reader
+// accepts them. Input without the binary magic is not a log, whatever it
+// holds.
 func CheckHeader(head []byte) error {
 	if !bytes.HasPrefix(head, binMagic[:]) {
-		return nil
+		return errors.New("profile: not a dragprof binary log")
 	}
 	if len(head) < HeaderBytes {
 		return fmt.Errorf("profile: binary log header: %w", io.ErrUnexpectedEOF)
@@ -299,11 +290,6 @@ func CheckHeader(head []byte) error {
 		return fmt.Errorf("profile: binary log: flags %#x lack the checksum flag every v%d log carries", flags, binVersion)
 	}
 	return nil
-}
-
-func openBinaryStream(br *bufio.Reader) (*LogStream, error) {
-	s, _, err := openBinaryReader(br)
-	return s, err
 }
 
 // openBinaryReader parses a binary log's header and tables and returns the
@@ -419,7 +405,7 @@ func openBinaryReader(br *bufio.Reader) (*LogStream, *binReader, error) {
 			Reason: fmt.Sprintf("profile: binary log: table checksum mismatch (stored %08x, computed %08x)", stored, tableCRC)}
 	}
 
-	s := &LogStream{p: p, total: total, blocks: blocks, format: "binary", compressed: compressed}
+	s := &LogStream{p: p, total: total, blocks: blocks, compressed: compressed}
 	seen := 0
 	s.next = func() (*Block, error) {
 		if s.idx == blocks {
@@ -612,95 +598,4 @@ func uvarintAt(b []byte, p int) (v uint64, next int) {
 		v |= uint64(c&0x7f) << s
 	}
 	return 0, 0
-}
-
-// ---- text stream ----
-
-// textBlockLines is the text reader's block granularity, matched to the
-// binary default so the parallel analyzer behaves the same on both.
-const textBlockLines = DefaultBlockRecords
-
-func openTextStream(br *bufio.Reader) (*LogStream, error) {
-	rd := &logReader{br: br}
-	p, total, err := readTextHeader(rd)
-	if err != nil {
-		return nil, err
-	}
-	blocks := (total + textBlockLines - 1) / textBlockLines
-	s := &LogStream{p: p, total: total, blocks: blocks, format: "text"}
-	produced := 0
-	var pending error // truncation fault held back until the short block drains
-	s.next = func() (*Block, error) {
-		if pending != nil {
-			err := pending
-			pending = nil
-			return nil, err
-		}
-		if produced == total {
-			for {
-				raw, err := br.ReadString('\n')
-				if trimmed := strings.TrimSpace(raw); trimmed != "" {
-					return nil, corruptAt(rd.off, s.idx, produced, nil,
-						"profile: trailing garbage after %d records: %q", total, trimmed)
-				}
-				if err == io.EOF {
-					return nil, io.EOF
-				}
-				if err != nil {
-					return nil, err
-				}
-				rd.off += int64(len(raw))
-			}
-		}
-		n := total - produced
-		if n > textBlockLines {
-			n = textBlockLines
-		}
-		lines := make([]string, 0, n)
-		offs := make([]int64, 0, n)
-		for len(lines) < n {
-			off := rd.off
-			line, err := rd.line()
-			if err == io.ErrUnexpectedEOF {
-				// Every complete line is independently recoverable: emit
-				// the intact prefix as a short block, then fault.
-				pending = corruptAt(rd.off, s.idx, produced+len(lines), nil,
-					"profile: record section truncated: log declares %d records, found %d",
-					total, produced+len(lines))
-				if len(lines) == 0 {
-					err := pending
-					pending = nil
-					return nil, err
-				}
-				n = len(lines)
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, line)
-			offs = append(offs, off)
-		}
-		idx := s.idx
-		base := produced
-		blk := &Block{
-			Index: idx,
-			Count: n,
-			decode: func() ([]*Record, error) {
-				recs := make([]*Record, 0, len(lines))
-				for i, line := range lines {
-					r, err := parseRecord(line)
-					if err != nil {
-						return nil, corruptAt(offs[i], idx, base+len(recs), err, "%v", err)
-					}
-					recs = append(recs, r)
-				}
-				return recs, nil
-			},
-		}
-		s.idx++
-		produced += n
-		return blk, nil
-	}
-	return s, nil
 }

@@ -188,9 +188,10 @@ func TestIngestAndCanonicalReport(t *testing.T) {
 }
 
 // TestIngestDamagedUpload: damage lands on 422 with a parseable salvage
-// report and the salvaged prefix stored; pure garbage stores nothing.
+// report and the salvaged prefix stored; pure garbage and a text log (the
+// v2 format of earlier builds) store nothing.
 func TestIngestDamagedUpload(t *testing.T) {
-	_, ts := newTestServer(t)
+	srv, ts := newTestServer(t)
 	log := encodeLog(t, syntheticProfile("w", 12000, 2))
 	ends, err := profile.BlockOffsets(log)
 	if err != nil {
@@ -212,12 +213,25 @@ func TestIngestDamagedUpload(t *testing.T) {
 		t.Error("stored run not flagged salvaged")
 	}
 
-	status, ir = postLog(t, ts, []byte("garbage"))
-	if status != http.StatusUnprocessableEntity {
-		t.Fatalf("garbage POST = %d, want 422", status)
-	}
-	if ir.Run != nil {
-		t.Error("garbage upload stored a run")
+	runs := srv.Store().NumRuns()
+	for _, body := range []string{
+		"garbage",
+		"dragprof-log 2\nname \"t\"\nfinalclock 100\ngcinterval 102400\n" +
+			"classes 0\nmethods 0\nfiles 0\nsites 0\nchains 0\nrecords 0\n",
+	} {
+		status, ir = postLog(t, ts, []byte(body))
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("POST %.12q = %d, want 422", body, status)
+		}
+		if ir.Salvage == nil || !strings.Contains(ir.Salvage.Reason, "not a dragprof binary log") {
+			t.Errorf("POST %.12q: 422 salvage report %+v does not name the missing magic", body, ir.Salvage)
+		}
+		if ir.Run != nil {
+			t.Errorf("POST %.12q stored a run", body)
+		}
+		if n := srv.Store().NumRuns(); n != runs {
+			t.Errorf("POST %.12q: %d runs stored, want %d", body, n, runs)
+		}
 	}
 }
 

@@ -196,7 +196,8 @@ func (s *Store) verifyRun(runsDir, id string) (*RunMeta, string) {
 		return nil, fmt.Sprintf("torn run log: %d bytes hash to %s, not the run id", n, got[:12])
 	}
 	// An intact log this build's reader cannot parse (one written in an
-	// older format version) would fail every merge of its workload.
+	// older format version, or a text log) would fail every merge of its
+	// workload.
 	if err := profile.CheckHeader(head[:h]); err != nil {
 		return nil, fmt.Sprintf("run log format not readable: %v", err)
 	}

@@ -330,69 +330,104 @@ func TestRecoveryDropsSummaryOfFullyQuarantinedWorkload(t *testing.T) {
 // reader rejects must be quarantined at Open: served, it would fail every
 // merge of its workload, and /sites would fail for every workload.
 func TestRecoveryQuarantinesUnreadableLogVersion(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestOne(t, st, "alpha", 600, 1)
-	betaID := ingestOne(t, st, "beta", 600, 2)
+	for _, tc := range []struct {
+		name    string
+		rewrite func(log []byte) []byte // the stored log as an older build left it
+		reason  string
+	}{
+		{"v3", func(log []byte) []byte { log[4] = 3; return log }, "version 3"},
+		{"text", func([]byte) []byte {
+			return []byte("dragprof-log 2\nname \"beta\"\nfinalclock 100\ngcinterval 102400\n" +
+				"classes 0\nmethods 0\nfiles 0\nsites 0\nchains 0\nrecords 0\n")
+		}, "not a dragprof binary log"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alphaID := ingestOne(t, st, "alpha", 600, 1)
+			betaID := ingestOne(t, st, "beta", 600, 2)
 
-	// Rewrite beta as a version-3 log under its own content id, with a
-	// matching commit record, as a build that wrote v3 would have left it.
-	runsDir := filepath.Join(dir, "shards", "000", "runs")
-	data, err := os.ReadFile(filepath.Join(runsDir, betaID+".log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	metaBlob, err := os.ReadFile(filepath.Join(runsDir, betaID+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta RunMeta
-	if err := json.Unmarshal(metaBlob, &meta); err != nil {
-		t.Fatal(err)
-	}
-	data[4] = 3
-	sum := sha256.Sum256(data)
-	oldID := hex.EncodeToString(sum[:])
-	meta.ID = oldID
-	if metaBlob, err = json.Marshal(&meta); err != nil {
-		t.Fatal(err)
-	}
-	for _, ext := range []string{".log", ".json"} {
-		if err := os.Remove(filepath.Join(runsDir, betaID+ext)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(runsDir, oldID+".log"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(runsDir, oldID+".json"), metaBlob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Rewrite beta under its own content id, with a matching
+			// commit record, as an older build would have left it.
+			runsDir := filepath.Join(dir, "shards", "000", "runs")
+			data, err := os.ReadFile(filepath.Join(runsDir, betaID+".log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			metaBlob, err := os.ReadFile(filepath.Join(runsDir, betaID+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var meta RunMeta
+			if err := json.Unmarshal(metaBlob, &meta); err != nil {
+				t.Fatal(err)
+			}
+			data = tc.rewrite(data)
+			sum := sha256.Sum256(data)
+			oldID := hex.EncodeToString(sum[:])
+			meta.ID = oldID
+			if metaBlob, err = json.Marshal(&meta); err != nil {
+				t.Fatal(err)
+			}
+			for _, ext := range []string{".log", ".json"} {
+				if err := os.Remove(filepath.Join(runsDir, betaID+ext)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(runsDir, oldID+".log"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(runsDir, oldID+".json"), metaBlob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Older builds also wrote a "format" key into every commit
+			// record; alpha's must still load.
+			alphaMeta := filepath.Join(runsDir, alphaID+".json")
+			alphaBlob, err := os.ReadFile(alphaMeta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var record map[string]any
+			if err := json.Unmarshal(alphaBlob, &record); err != nil {
+				t.Fatal(err)
+			}
+			record["format"] = "binary"
+			if alphaBlob, err = json.Marshal(record); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(alphaMeta, alphaBlob, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := st2.NumRuns(); n != 1 {
-		t.Fatalf("%d runs after reopening, want the intact alpha run only", n)
-	}
-	reason := quarantineReasons(t, st2)[oldID+".log"]
-	if !strings.Contains(reason, "version 3") {
-		t.Fatalf("quarantine reason %q does not name the log version", reason)
-	}
-	sites, err := st2.SiteSummaries(2)
-	if err != nil {
-		t.Fatalf("SiteSummaries: %v", err)
-	}
-	if len(sites) == 0 {
-		t.Fatal("no sites for the intact workload")
-	}
-	for _, s := range sites {
-		if s.Name != "alpha" {
-			t.Fatalf("site %q of workload %q, want only alpha's", s.Desc, s.Name)
-		}
+			st2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := st2.NumRuns(); n != 1 {
+				t.Fatalf("%d runs after reopening, want the intact alpha run only", n)
+			}
+			if _, ok := st2.Get(alphaID); !ok {
+				t.Fatal("alpha's commit record with a format key did not load")
+			}
+			reason := quarantineReasons(t, st2)[oldID+".log"]
+			if !strings.Contains(reason, tc.reason) {
+				t.Fatalf("quarantine reason %q does not say %q", reason, tc.reason)
+			}
+			sites, err := st2.SiteSummaries(2)
+			if err != nil {
+				t.Fatalf("SiteSummaries: %v", err)
+			}
+			if len(sites) == 0 {
+				t.Fatal("no sites for the intact workload")
+			}
+			for _, s := range sites {
+				if s.Name != "alpha" {
+					t.Fatalf("site %q of workload %q, want only alpha's", s.Desc, s.Name)
+				}
+			}
+		})
 	}
 }

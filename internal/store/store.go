@@ -99,10 +99,9 @@ type RunMeta struct {
 	ID string `json:"id"`
 	// Name is the workload name the log declares.
 	Name string `json:"name"`
-	// Format and Compressed describe the *uploaded* log ("binary" or
-	// "text"); a salvaged run is always re-stored as uncompressed binary.
-	Format     string `json:"format"`
-	Compressed bool   `json:"compressed"`
+	// Compressed describes the *uploaded* log; a salvaged run is always
+	// re-stored uncompressed.
+	Compressed bool `json:"compressed"`
 	// Records and Blocks count the stored trailer records and blocks.
 	Records int `json:"records"`
 	Blocks  int `json:"blocks"`
@@ -551,7 +550,6 @@ func (s *Store) Ingest(body io.Reader, workers int) (*IngestResult, error) {
 	meta := &RunMeta{
 		ID:           hex.EncodeToString(hash.Sum(nil)),
 		Name:         stream.Profile().Name,
-		Format:       stream.Format(),
 		Compressed:   stream.Compressed(),
 		Records:      stream.TotalRecords(),
 		Blocks:       stream.TotalBlocks(),
@@ -608,7 +606,6 @@ func (s *Store) salvageSpool(tmp File, tmpName string, workers int) (*IngestResu
 	meta := &RunMeta{
 		ID:           hex.EncodeToString(sum[:]),
 		Name:         p.Name,
-		Format:       sr.Format,
 		Compressed:   sr.Compressed,
 		Records:      sr.RecordsRecovered,
 		Blocks:       sr.BlocksRecovered,
